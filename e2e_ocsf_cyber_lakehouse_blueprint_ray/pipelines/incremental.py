@@ -6,7 +6,8 @@ re-derived from its silver stream); Delta's CDF + MERGE is the platform
 feature that makes DOWNSTREAM aggregates incremental. This module is that
 consumer: the view table holds one row per conv_id with its turn count,
 and ``refresh`` advances it from src snapshot A→B by reading ONLY the
-manifest-diff files (snapshot_changes), netting per-conv deltas, and
+change feed (snapshot_changes: the commits' change files, or their file
+diffs where a commit recorded none), netting per-conv deltas, and
 MERGE-ing churn-sized updates into the view — cost O(churn + view scan),
 never O(source scan).
 

@@ -999,9 +999,9 @@ def q_maint_delete_scan(sf_dir: str):
 
 def q_table_changes(sf_dir: str):
     """Snapshot change feed (Delta CDF analog): compact, pin, MERGE, then
-    diff the two snapshots. Only manifest-diff files are read; carried rows
-    in copy-on-write rewritten files cancel in the netting, so the feed is
-    exactly the MERGE's updates (old+new), deletes and inserts."""
+    diff the two snapshots. Only the MERGE's change files are read (the rows
+    its rewrite dropped and appended), so the feed is exactly the MERGE's
+    updates (old+new), deletes and inserts."""
     work = tempfile.mkdtemp(prefix="maint-", dir=cfg.scratch_dir())
     try:
         t = derive.build_maintenance_table(sf_dir, os.path.join(work, "tbl"), CONF)

@@ -1,29 +1,37 @@
 """Snapshot change feed (CDC) — the Delta Change Data Feed analog.
 
 ``snapshot_changes(t, A, B)`` emits the net row-level difference between two
-snapshots as full rows labeled ``change ∈ {'added', 'removed'}``. The trick
-that makes this cheap on a 10^12-row table: rows can only differ inside
-files that CHANGED between the snapshots, and the manifest diff names those
-files directly —
+snapshots as full rows of B's schema labeled ``change ∈ {'added', 'removed'}``.
 
-    read ONLY (files in A − B) ∪ (files in B − A)     (one pruned read)
-    side = −1 for A-only files, +1 for B-only files    (vectorized is_in on
-                                                        the path column)
-    sort by a 64-bit content hash                      (the ONE shuffle;
-                                                        key is 8 bytes/row)
-    per block: Arrow C++ group_by(content-key string) → sum(side); groups
-    whose hash is the block's min/max MAY straddle a block boundary, so
-    those are held out as partials — ≤ 2 distinct hashes per block, a
-    driver-side exact combine over O(blocks) rows finishes them
-    net < 0 ⇒ 'removed', net > 0 ⇒ 'added', 0 ⇒ carried (compaction /
-    clustering moves cancel out — a pure-maintenance diff is EMPTY)
+Writers say what changed. Every commit in (A, B] contributes ``(file, side)``
+items from the change record it stored (``Table.commit``):
+
+    MERGE / DELETE     the change files its rewrite units wrote under
+                       ``_change_data/`` — the rows they dropped ('removed')
+                       and the upserts they appended ('added') — plus
+                       DELETE's contained-drop files as whole-file removals
+    compact / cluster / respec
+                       an empty record: they preserve content (the
+                       scan-equality contract), so they cost the feed nothing
+    any other commit   no record (appends, rollback, view commits, snapshots
+                       written before records existed): the commit's own
+                       whole-file diff, removed files side −1 and added
+                       files +1 — always correct
+
+Whole-file items net at path level first, so a file added and removed inside
+the range is never read. The records carry row counts, so the feed picks its
+path before reading anything: up to ``SUBSET_DRIVER_MAX_ROWS`` rows the files
+are read with pyarrow on the driver and netted in one Arrow group_by; above
+it a two-phase distributed netting (``_distributed_net``) runs over the same
+files. A range with an expired snapshot inside falls back to the two
+snapshots' manifest diff as whole files.
 
 Netting always groups by the FULL row content — encoded as one exact,
 NON-NULL key string per row (nullable raw columns make unreliable Arrow
-group keys; the hash only routes the shuffle) — so 64-bit collisions can
-never cancel or merge distinct rows. An
-update surfaces as one 'removed' (old version) plus one 'added' (new
-version). Multiset note: nets are emitted once per distinct content with
+group keys; a hash only routes the distributed shuffle) — so 64-bit
+collisions can never cancel or merge distinct rows. An update surfaces as
+one 'removed' (old version) plus one 'added' (new version); a no-op update
+cancels. Multiset note: nets are emitted once per distinct content with
 ``|net|`` = 1 expected for keyed tables; duplicate-row tables net to ±k and
 are emitted once per distinct content (documented, not expanded k times).
 
@@ -32,10 +40,9 @@ opt into implicitly via row-level DML support
 (/root/reference/utilities/utils.py:90-95); the reference's
 ``metadata.log_version`` selective-deletion convention
 (/root/reference/transformations/mappings/ocsf/iam/gold_github_audit_logs.py:36-37)
-is the intended consumer of such a feed. Schema evolution between the two
-snapshots is supported: both sides align to the TARGET snapshot's schema
-(old-side files null-fill evolved columns), so carried rows still cancel
-across an evolution + rewrite.
+is the intended consumer of such a feed. Schema evolution inside the range is
+supported: every file aligns to the TARGET snapshot's schema (older files
+null-fill evolved columns), so content compares under one schema.
 """
 
 from __future__ import annotations
@@ -45,7 +52,9 @@ import os
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
+from ..state import manifest
 from ..table import Table
 
 _NET, _EDGE, _HASH, _KEY = "_net", "_edge", "_h", "_k"
@@ -69,13 +78,12 @@ def _content_key(t: pa.Table, cols: list[str]) -> pa.Array:
 def _net_table(t: pa.Table, cols: list[str]) -> pa.Table:
     """Exact per-content signed sum. Groups by the non-null content-key
     string (grouping by raw nullable columns is unreliable in Arrow's hash
-    aggregate); content columns ride along via ``min``, which is exact
-    because every row in a group is identical by construction."""
-    agg = t.group_by([_KEY]).aggregate(
-        [(_NET, "sum")] + [(c, "min") for c in cols + [_HASH]]
-    )
-    out = {c: agg[f"{c}_min"] for c in cols}
-    out[_HASH] = agg[f"{_HASH}_min"]
+    aggregate); content columns (and the routing hash, when present) ride
+    along via ``min``, which is exact because every row in a group is
+    identical by construction."""
+    ride = cols + [_HASH] if _HASH in t.schema.names else cols
+    agg = t.group_by([_KEY]).aggregate([(_NET, "sum")] + [(c, "min") for c in ride])
+    out = {c: agg[f"{c}_min"] for c in ride}
     out[_KEY] = agg[_KEY]
     out[_NET] = agg[f"{_NET}_sum"]
     return pa.table(out)
@@ -87,74 +95,128 @@ def _label(t: pa.Table, cols: list[str]) -> pa.Table:
     return nz.select(cols).append_column("change", change)
 
 
-#: phase-1 partials fold on the driver below this many rows (~24 B each);
-#: above it a distributed narrow-row sort takes over. Env-tunable so the
-#: two paths can be A/B-measured on one input (0 forces the distributed
-#: fold — the 100-TB shape — everywhere).
+def _aligned(b: pa.Table, schema: pa.Schema) -> pa.Table:
+    """Rows under the target snapshot's schema: evolved (added) columns
+    null-fill for older files, so a row diffs as removed + added only when
+    its content actually changed under the target schema."""
+    return pa.table(
+        {
+            f.name: (
+                b[f.name].cast(f.type)
+                if f.name in b.schema.names
+                else pa.nulls(b.num_rows, f.type)
+            )
+            for f in schema
+        }
+    )
+
+
+def _signs(b: pa.Table, side: int) -> np.ndarray:
+    """Per-row ±1: a whole file's side, or a change file's ``change`` label."""
+    if side != manifest.CHANGE_FILE:
+        return np.full(b.num_rows, side, np.int64)
+    added = pc.equal(b["change"], "added").to_numpy(zero_copy_only=False)
+    return np.where(added, 1, -1).astype(np.int64)
+
+
+#: phase-1 partials of the distributed netting fold on the driver below this
+#: many rows (~24 B each); above it a distributed narrow-row sort takes
+#: over. Env-tunable so the two folds can be A/B-measured on one input (0
+#: forces the distributed fold — the 100-TB shape — everywhere).
 PARTIAL_DRIVER_MAX_ROWS = int(
     os.environ.get("ENGINE_CHANGES_PARTIAL_DRIVER_MAX_ROWS", 8_000_000)
 )
-#: phase-2 matching rows net on the driver below this many changed hashes
-#: (full rows — keep the cap conservative); above it the distributed exact
-#: netting runs on the subset
+#: at most this many change rows (known from the change records before any
+#: read) net on the driver with pyarrow; more run the distributed netting.
+#: The distributed netting's phase 2 uses the same cap on changed hashes.
 SUBSET_DRIVER_MAX_ROWS = 500_000
+
+
+def _file_diff(a: pa.Table, b: pa.Table) -> list[list]:
+    """Whole-file change items turning manifest entries ``a`` into ``b``."""
+    in_a, in_b = set(a["path"].to_pylist()), set(b["path"].to_pylist())
+    out = []
+    for ents, keep, side in (
+        (a, in_a - in_b, manifest.WHOLE_REMOVED),
+        (b, in_b - in_a, manifest.WHOLE_ADDED),
+    ):
+        rows = ents.select(["path", "rows", "bytes"]).to_pylist()
+        out += manifest.change_items((r for r in rows if r["path"] in keep), side)
+    return out
+
+
+def change_files(table: Table, from_id: int, to_id: int) -> list[list]:
+    """``[path, side, rows, bytes]`` items whose rows, signed by ``side``
+    (``manifest.CHANGE_FILE`` = per-row ``change`` column), sum to the
+    content of ``to_id`` minus that of ``from_id``."""
+    ids = set(manifest.list_snapshot_ids(table.dir))
+    walk = range(from_id + 1, to_id + 1)
+    if from_id > to_id or from_id not in ids or any(s not in ids for s in walk):
+        # a reversed range or an expired snapshot inside it: diff the ends
+        return _file_diff(table.entries(from_id), table.entries(to_id))
+    cdf: list[list] = []
+    whole: dict[str, list] = {}
+    prev = None  # entries of the previous snapshot, when already read
+    for sid in walk:
+        rec = manifest.change_record(table.dir, sid)
+        if rec is None:
+            cur = table.entries(sid)
+            rec = _file_diff(prev if prev is not None else table.entries(sid - 1), cur)
+            prev = cur
+        else:
+            prev = None
+        for path, side, rows, nbytes in rec:
+            if side == manifest.CHANGE_FILE:
+                cdf.append([path, side, rows, nbytes])
+            else:
+                whole.setdefault(path, [path, 0, rows, nbytes])[1] += side
+    return cdf + [w for w in whole.values() if w[1]]
 
 
 def snapshot_changes(table: Table, from_id: int, to_id: int):
     """Lazy Dataset of net row changes between two snapshots: full rows of
-    ``to_id``'s schema plus a ``change`` column.
-
-    Two phases so the shuffle is proportional to the CHANGE set, not the
-    rewritten file set: (1) net per 128-bit content hash — per-batch
-    pre-aggregated (h1, h2, net) partials, 24 bytes/row through the
-    groupby; (2) re-read the diff files keeping only rows of nonzero-net
-    hashes (broadcast sorted hash set, searchsorted membership) and run
-    the exact content-key netting on that churn-sized subset. A pure
-    maintenance diff finishes after phase 1 with an empty hash set. When
-    the changed set exceeds the broadcast budget the exact netting simply
-    runs over everything (the diff ≈ the data then). Phase-1 zero-nets of
-    two DISTINCT contents would need a 128-bit hash collision; phase 2
-    stays content-exact.
-    """
-    import sys
-    import time
-
+    ``to_id``'s schema plus a ``change`` column."""
     import ray.data as rd
 
-    prof = os.environ.get("ENGINE_PROFILE_CHANGES")
-    t_start = time.perf_counter()
-
-    ent_a, ent_b = table.entries(from_id), table.entries(to_id)
-    ea = set(ent_a["path"].to_pylist())
-    eb = set(ent_b["path"].to_pylist())
-    removed_paths = sorted(ea - eb)
-    added_paths = sorted(eb - ea)
-    bytes_by_path = {
-        r["path"]: r["bytes"]
-        for ent in (ent_a, ent_b)
-        for r in ent.select(["path", "bytes"]).to_pylist()
-    }
     schema = table.schema(to_id)
+    out_schema = schema.append(pa.field("change", pa.string()))
+    items = change_files(table, from_id, to_id)
+    if not items:
+        return rd.from_arrow(out_schema.empty_table())
+    if sum(rows for _p, _s, rows, _b in items) <= SUBSET_DRIVER_MAX_ROWS:
+        return rd.from_arrow(_driver_net(table, items, schema).cast(out_schema))
+    return _distributed_net(table, items, schema)
+
+
+def _driver_net(table: Table, items: list[list], schema: pa.Schema) -> pa.Table:
+    """Read the change items with pyarrow and net them in one group_by."""
+    cols = list(schema.names)
+    parts = []
+    for path, side, _rows, _bytes in items:
+        b = pq.read_table(os.path.join(table.dir, path))
+        parts.append(_aligned(b, schema).append_column(_NET, pa.array(_signs(b, side))))
+    t = pa.concat_tables(parts).combine_chunks()
+    return _label(_net_table(t.append_column(_KEY, _content_key(t, cols)), cols), cols)
+
+
+def _distributed_net(table: Table, items: list[list], schema: pa.Schema):
+    """Two phases so the shuffle is proportional to the CHANGE set, not to
+    the files read: (1) net per 128-bit content hash — per-batch
+    pre-aggregated (h1, h2, net) partials, 24 bytes/row through the
+    groupby; (2) re-read the files keeping only rows of nonzero-net hashes
+    (broadcast sorted hash set, searchsorted membership) and run the exact
+    content-key netting on that churn-sized subset. When the changed set
+    exceeds the driver cap the exact netting runs distributed too. Phase-1
+    zero-nets of two DISTINCT contents would need a 128-bit hash collision;
+    phase 2 stays content-exact."""
+    import ray
+    import ray.data as rd
+
     cols = list(schema.names)
     out_schema = schema.append(pa.field("change", pa.string()))
-    if not removed_paths and not added_paths:
-        return rd.from_arrow(out_schema.empty_table())
-
-    def _aligned(b: pa.Table) -> pa.Table:
-        # align to the target snapshot's schema: evolved (added) columns
-        # null-fill on the old side, so a row whose file predates the
-        # evolution diffs as removed(old shape) + added(new shape) only
-        # when its content actually changed under the target schema
-        return pa.table(
-            {
-                c: (
-                    b[c].cast(schema.field(c).type)
-                    if c in b.schema.names
-                    else pa.nulls(b.num_rows, schema.field(c).type)
-                )
-                for c in cols
-            }
-        )
+    groups: dict[int, list[list]] = {}
+    for it in items:
+        groups.setdefault(it[1], []).append(it)
 
     def _hashes(a: pa.Table) -> tuple[np.ndarray, np.ndarray]:
         # vectorized 2×64-bit row hash straight off the columns — no
@@ -167,49 +229,39 @@ def snapshot_changes(table: Table, from_id: int, to_id: int):
         return h1, h2
 
     def _sides(fn_factory):
-        # Pin the target snapshot's schema on BOTH diff sides: a side's path
-        # set can mix pre- and post-evolution files (evolution rewrites no
-        # data), and pyarrow.dataset otherwise infers the read schema from
+        # Pin the target snapshot's schema on every read (change files also
+        # carry ``change``): a path set can mix pre- and post-evolution
+        # files, and pyarrow.dataset otherwise infers the read schema from
         # one sampled fragment — a pre-evolution sample would silently drop
-        # evolved columns, so carried rows fail to cancel and the feed emits
-        # spurious removed+added pairs. With the pin, missing columns
-        # null-fill per fragment and _aligned is a cheap no-op.
+        # evolved columns, so carried rows fail to cancel. With the pin,
+        # missing columns null-fill per fragment and _aligned is a cheap
+        # no-op.
         sides = []
-        for paths, side_val in ((removed_paths, -1), (added_paths, 1)):
-            if paths:
-                # size the read's block count from the diff bytes, not Ray's
-                # min-200-blocks default: a post-maintenance diff is a few
-                # hundred SMALL files and the default turns each into its
-                # own read task — pure per-task overhead that made the feed
-                # cost near-constant across sf (zstd ≈ 3× expansion est.)
-                side_bytes = sum(bytes_by_path.get(p, 0) for p in paths)
-                n_blocks = max(
-                    table.config.rewrite_concurrency,
-                    min(
-                        4096,
-                        -(-(side_bytes * 3) // table.config.target_file_bytes),
-                    ),
-                )
-                sides.append(
-                    rd.read_parquet(
-                        [os.path.join(table.dir, p) for p in paths],
-                        schema=schema,
-                        override_num_blocks=min(n_blocks, len(paths) * 4),
-                    ).map_batches(fn_factory(side_val), batch_format="pyarrow")
-                )
-        return sides[0] if len(sides) == 1 else sides[0].union(sides[1])
+        for side_val, its in sorted(groups.items()):
+            # size the read's block count from the bytes, not Ray's
+            # min-200-blocks default: a few hundred SMALL files would each
+            # become their own read task — pure per-task overhead
+            # (zstd ≈ 3× expansion est.)
+            side_bytes = sum(it[3] for it in its)
+            n_blocks = max(
+                table.config.rewrite_concurrency,
+                min(4096, -(-(side_bytes * 3) // table.config.target_file_bytes)),
+            )
+            sides.append(
+                rd.read_parquet(
+                    [os.path.join(table.dir, it[0]) for it in its],
+                    schema=out_schema if side_val == manifest.CHANGE_FILE else schema,
+                    override_num_blocks=min(n_blocks, len(its) * 4),
+                ).map_batches(fn_factory(side_val), batch_format="pyarrow")
+            )
+        return sides[0].union(*sides[1:]) if len(sides) > 1 else sides[0]
 
     # -- phase 1: hash-level netting over narrow partials -------------------
     def hash_partial(side_val: int):
         def fn(b: pa.Table) -> pa.Table:
-            a = _aligned(b)
-            h1, h2 = _hashes(a)
+            h1, h2 = _hashes(_aligned(b, schema))
             t = pa.table(
-                {
-                    "_h1": pa.array(h1),
-                    "_h2": pa.array(h2),
-                    _NET: pa.array(np.full(b.num_rows, side_val, np.int64)),
-                }
+                {"_h1": pa.array(h1), "_h2": pa.array(h2), _NET: pa.array(_signs(b, side_val))}
             )
             return t.group_by(["_h1", "_h2"]).aggregate([(_NET, "sum")])
 
@@ -219,7 +271,7 @@ def snapshot_changes(table: Table, from_id: int, to_id: int):
     # the cap they fold on the driver (one Arrow group_by — the mergeable-
     # partials pattern, cf. HLL/k-means); past it, a distributed sort on the
     # narrow rows + per-block netting + edge combine takes over, where the
-    # sort's fixed per-block overhead is amortized by the (then large) diff.
+    # sort's fixed per-block overhead is amortized by the (then large) input.
     parts: list[pa.Table] = []
     n_part = 0
     overflow = False
@@ -291,26 +343,16 @@ def snapshot_changes(table: Table, from_id: int, to_id: int):
         changed1 = np.concatenate(interior1) if interior1 else np.array([], np.int64)
         changed2 = np.concatenate(interior2) if interior2 else np.array([], np.int64)
 
-    if prof:
-        print(
-            f"[changes] phase1 {time.perf_counter() - t_start:.2f}s "
-            f"files={len(removed_paths)}+{len(added_paths)} "
-            f"partials={n_part} changed={len(changed1)} overflow={overflow}",
-            file=sys.stderr, flush=True,
-        )
-        t_p2 = time.perf_counter()
     if len(changed1) == 0:
         return rd.from_arrow(out_schema.empty_table())
 
     # -- phase 2: exact content netting over the churn-sized subset ---------
-    import ray
-
     order = np.argsort(changed1, kind="stable")
     cref = ray.put((changed1[order], changed2[order]))
 
     def tag_subset(side_val: int):
         def fn(b: pa.Table) -> pa.Table:
-            a = _aligned(b)
+            a = _aligned(b, schema)
             h1, h2 = _hashes(a)
             c1, c2 = ray.get(cref)
             pos = np.searchsorted(c1, h1)
@@ -326,14 +368,12 @@ def snapshot_changes(table: Table, from_id: int, to_id: int):
                         ok[i] = True
                         break
                     j += 1
-            mask = pa.array(ok)
-            a = a.filter(mask)
+            a = a.filter(pa.array(ok))
             # the exact content key is only built for the churn-sized subset
             key = _content_key(a, cols)
-            side = pa.array(np.full(a.num_rows, side_val, np.int64))
             return (
                 a.append_column(_KEY, key)
-                .append_column(_NET, side)
+                .append_column(_NET, pa.array(_signs(b, side_val)[ok]))
                 .append_column(_HASH, pa.array(h1[ok]))
             )
 
@@ -351,16 +391,9 @@ def snapshot_changes(table: Table, from_id: int, to_id: int):
         if not rows:
             return rd.from_arrow(out_schema.empty_table())
         rt = pa.concat_tables(rows).combine_chunks()
-        out = rd.from_arrow(_label(_net_table(rt, cols), cols).cast(out_schema))
-        if prof:
-            print(
-                f"[changes] phase2 {time.perf_counter() - t_p2:.2f}s "
-                f"subset_rows={rt.num_rows} (driver-fold path)",
-                file=sys.stderr, flush=True,
-            )
-        return out
+        return rd.from_arrow(_label(_net_table(rt, cols), cols).cast(out_schema))
 
-    # large churn: the original distributed exact netting over the subset
+    # large churn: distributed exact netting over the subset
     def per_block_net(b: pa.Table) -> pa.Table:
         if b.num_rows == 0:
             return b.append_column(_EDGE, pa.array([], pa.bool_()))
@@ -373,7 +406,7 @@ def snapshot_changes(table: Table, from_id: int, to_id: int):
     netted = (
         subset.sort(_HASH)
         .map_batches(per_block_net, batch_format="pyarrow", batch_size=None)
-        .materialize()  # diff-sized, not table-sized: read twice below
+        .materialize()  # change-sized, not table-sized: read twice below
     )
     interior = netted.map_batches(
         lambda b: _label(b.filter(pc.invert(b[_EDGE])), cols), batch_format="pyarrow"

@@ -257,6 +257,7 @@ def cluster(
         expected_parent=parent,
         use_actor=use_actor,
         job_id=job_id,
+        changes=[],  # content-preserving: no row changed
     )
 
 
@@ -361,4 +362,5 @@ def cluster_by_columns(
         operation=f"cluster-by-{'-'.join(cols)}",
         expected_parent=parent,
         use_actor=use_actor,
+        changes=[],  # content-preserving: no row changed
     )

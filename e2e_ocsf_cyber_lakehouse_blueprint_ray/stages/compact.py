@@ -107,4 +107,5 @@ def compact(
         expected_parent=parent,
         use_actor=use_actor,
         job_id=job_id,
+        changes=[],  # content-preserving: no row changed
     )

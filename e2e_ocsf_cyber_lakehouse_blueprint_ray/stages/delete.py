@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 
-from ..state import lineage
+from ..state import lineage, manifest
 from ..table import Table
 from . import rewrite
 
@@ -99,6 +99,9 @@ def delete_where(
         delete_range=(col, lo, hi),
         fail_after=fail_after,
     )
+    added, changes = rewrite.split_changes(added)
+    # contained files leave whole: the change record names them as removed
+    changes += manifest.change_items((by_path[p] for p in dropped), manifest.WHOLE_REMOVED)
     return table.commit(
         added=added if added.num_rows else None,
         removed=dropped + rewritten,
@@ -106,4 +109,5 @@ def delete_where(
         expected_parent=parent,
         use_actor=use_actor,
         job_id=job_id,
+        changes=changes,
     )

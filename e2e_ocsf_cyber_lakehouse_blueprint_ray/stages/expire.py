@@ -2,11 +2,13 @@
 
 Readers pin a snapshot id (Table.scan(snapshot_id=...)); expiry retains the
 last ``keep_last`` snapshots (plus any explicitly pinned ids) and deletes
-(a) older snapshot files and (b) data files referenced ONLY by expired
-snapshots. The CURRENT pointer itself is only ever moved by commits via
-atomic ``os.replace`` (state/manifest.py) — expiry never touches it, so a
-reader that resolved CURRENT before an expiry still reads a retained
-snapshot. Reference analog: Delta retention/VACUUM implied by the table
+(a) older snapshot files and (b) data and change files referenced ONLY by
+expired snapshots — a snapshot references its live entries and the files
+its change record names (``manifest.change_record``). The CURRENT pointer
+itself is only ever moved by commits via atomic ``os.replace``
+(state/manifest.py) — expiry never touches it, so a reader that resolved
+CURRENT before an expiry still reads a retained snapshot.
+Reference analog: Delta retention/VACUUM implied by the table
 properties and deletion-vector flags (/root/reference/utilities/utils.py:85-96).
 """
 
@@ -18,13 +20,19 @@ from ..state import manifest
 from ..table import Table
 
 
+def _referenced(table: Table, sid: int) -> list[str]:
+    """Files snapshot ``sid`` needs: its live entries and its change files."""
+    paths = manifest.read_snapshot(table.dir, sid)[0]["path"].to_pylist()
+    return paths + [c[0] for c in manifest.change_record(table.dir, sid) or ()]
+
+
 def expire_snapshots(
     table: Table,
     *,
     keep_last: int | None = None,
     pin: set[int] | None = None,
 ) -> dict:
-    """Delete expired snapshots + newly-unreferenced data files.
+    """Delete expired snapshots + newly-unreferenced data and change files.
 
     Returns {"expired": [...ids], "deleted_files": [...paths],
     "retained": [...ids]}.
@@ -37,12 +45,11 @@ def expire_snapshots(
 
     live: set[str] = set()
     for sid in retained:
-        live.update(manifest.read_snapshot(table.dir, sid)[0]["path"].to_pylist())
+        live.update(_referenced(table, sid))
 
     deleted: list[str] = []
     for sid in expired:
-        ents, _ = manifest.read_snapshot(table.dir, sid)
-        for p in ents["path"].to_pylist():
+        for p in _referenced(table, sid):
             if p in live:
                 continue
             ap = os.path.join(table.dir, p)
@@ -56,20 +63,21 @@ def expire_snapshots(
 
 
 def remove_orphans(table: Table, *, all_snapshots: bool = True) -> list[str]:
-    """Delete data files on disk referenced by NO (retained) snapshot —
-    leftovers of crashed jobs whose commit never happened. Call only when no
-    maintenance job is in flight (same contract as Delta VACUUM)."""
+    """Delete data and change files on disk referenced by NO (retained)
+    snapshot — leftovers of crashed jobs whose commit never happened. Call
+    only when no maintenance job is in flight (same contract as Delta
+    VACUUM)."""
     ids = manifest.list_snapshot_ids(table.dir)
     live: set[str] = set()
     for sid in ids if all_snapshots else [table.current_snapshot_id()]:
-        live.update(manifest.read_snapshot(table.dir, sid)[0]["path"].to_pylist())
+        live.update(_referenced(table, sid))
     deleted = []
-    data_root = os.path.join(table.dir, "data")
-    for root, _dirs, files in os.walk(data_root):
-        for f in files:
-            ap = os.path.join(root, f)
-            rel = os.path.relpath(ap, table.dir)
-            if rel not in live:
-                os.unlink(ap)
-                deleted.append(rel)
+    for top in ("data", manifest.CHANGE_DIR):
+        for root, _dirs, files in os.walk(os.path.join(table.dir, top)):
+            for f in files:
+                ap = os.path.join(root, f)
+                rel = os.path.relpath(ap, table.dir)
+                if rel not in live:
+                    os.unlink(ap)
+                    deleted.append(rel)
     return deleted

@@ -12,7 +12,9 @@ transcript table keyed on (conv_id, turn_idx) with upsert/delete semantics —
 
 Copy-on-write: only files whose manifest (conv_id min/max) stats overlap the
 source keys of their partition are rewritten; untouched files carry over to
-the new snapshot untouched.
+the new snapshot untouched. Each rewrite unit also writes a change file of
+the rows it dropped and appended, which the commit's change record names for
+the change feed (stages/changes.py).
 
 Scale shape: the SOURCE side of a MERGE is small relative to the target
 (edits/inserts, not the 10^12-row table), so it is broadcast — ``ray.put``
@@ -57,6 +59,23 @@ def _source_hash(source: pa.Table) -> str:
     return hashlib.blake2b(sink.getvalue(), digest_size=8).hexdigest()
 
 
+def _key_table(keys: pa.Table, schema: pa.Schema) -> pa.Table:
+    """Source keys cast to the target's key types. A key the target type
+    cannot hold (an int64 ``turn_idx`` above int32 max) can match no row, so
+    it is dropped here instead of failing the cast inside a rewrite task."""
+    ok = None
+    for c in ("conv_id", "turn_idx"):
+        col, typ = keys[c], schema.field(c).type
+        if col.type != typ and pa.types.is_integer(col.type) and pa.types.is_integer(typ):
+            # a value survives the round trip through the narrower type iff
+            # that type holds it
+            fit = pc.equal(pc.cast(pc.cast(col, typ, safe=False), col.type), col)
+            ok = fit if ok is None else pc.and_(ok, fit)
+    if ok is not None:
+        keys = keys.filter(ok)
+    return pa.table({c: keys[c].cast(schema.field(c).type) for c in ("conv_id", "turn_idx")})
+
+
 def merge(
     table: Table,
     source: pa.Table,
@@ -74,6 +93,17 @@ def merge(
     """
     import ray
 
+    tbl_schema = table.schema()
+    missing = [c for c in tbl_schema.names + ["op"] if c not in source.schema.names]
+    if missing:
+        raise ValueError(f"MERGE source lacks target column(s) {missing}")
+    # ANSI MERGE: a NULL key matches no target row, so a null-key delete or
+    # update is a no-op. A null-key insert is dropped as well: it could never
+    # be matched again, so every retry of the same source would append it
+    # once more.
+    source = source.filter(
+        pc.and_(pc.is_valid(source["conv_id"]), pc.is_valid(source["turn_idx"]))
+    )
     if source.num_rows > table.config.merge_broadcast_max_rows and not _skip_chunking:
         return merge_chunked(
             table, source, concurrency=concurrency, use_actor=use_actor
@@ -93,19 +123,14 @@ def merge(
     delete_keys: dict[str, pa.Table] = {}
     extra_rows: dict[str, bytes] = {}
     conv_ranges: dict[str, tuple[str, str]] = {}
-    tbl_schema = table.schema()
     for i, b in enumerate(bounds):
         e = bounds[i + 1] if i + 1 < len(bounds) else len(sp)
         part = str(part_names[sp[b]])
         chunk = src_sorted.slice(b, e - b)
         # all source keys leave the target; shipped as a 2-column key table
-        # for the rewriter's Acero left-anti join (no key-string building).
-        # Null keys are dropped here: under ANSI MERGE semantics a NULL
-        # matches no target row, so they would be dead weight in every
-        # anti-join (and target-side null-key rows always survive).
-        keys = chunk.select(["conv_id", "turn_idx"]).combine_chunks()
-        delete_keys[part] = keys.filter(
-            pc.and_(pc.is_valid(keys["conv_id"]), pc.is_valid(keys["turn_idx"]))
+        # for the rewriter's Acero left-anti join (no key-string building)
+        delete_keys[part] = _key_table(
+            chunk.select(["conv_id", "turn_idx"]).combine_chunks(), tbl_schema
         )
         ups = chunk.filter(pc.not_equal(chunk["op"], "delete")).drop_columns(["op"])
         # MERGE INTO coerces source columns to the target schema (widened
@@ -180,6 +205,7 @@ def merge(
         delete_keys_ref=dk_ref,
         fail_after=fail_after,
     )
+    added, changes = rewrite.split_changes(added)
     return table.commit(
         added=added,
         removed=removed,
@@ -188,6 +214,7 @@ def merge(
         use_actor=use_actor,
         job_id=job_id,
         extra=extra,
+        changes=changes,
     )
 
 

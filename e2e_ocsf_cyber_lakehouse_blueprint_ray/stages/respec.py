@@ -52,4 +52,5 @@ def repartition_table(
         expected_parent=parent,
         use_actor=use_actor,
         new_partition_spec=new_spec,
+        changes=[],  # content-preserving: no row changed
     )

@@ -17,6 +17,12 @@ unit's lineage record (state/lineage.py) short-circuits the work, and output
 files are deterministically named ``<unit_id>-<k>.parquet`` so a re-run
 overwrites rather than duplicates (BASELINE.json north_rule: "resumable from
 checkpoint with per-partition lineage").
+
+Change data: a MERGE or DELETE unit also writes ``<unit_id>-cdf.parquet``
+under ``_change_data/`` — the rows it dropped ('removed') and the upserts it
+appended ('added'), with a ``change`` column — and names it in its lineage
+record. The change feed (stages/changes.py) reads these instead of diffing
+the rewritten files.
 """
 
 from __future__ import annotations
@@ -24,17 +30,32 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..config import EngineConfig
 from ..hashing import curve_key, hash64_column
-from ..state import lineage
+from ..state import lineage, manifest
 from ..state.manifest import ENTRY_SCHEMA
 from ..table import Table
 
 BIN_FIELDS = ["unit_id", "partition", "inputs_json", "in_rows", "in_bytes"]
+
+_ROW = "_row"
+
+
+def _labelled(rows: pa.Table, change: str) -> pa.Table:
+    return rows.append_column("change", pa.array([change] * rows.num_rows, pa.string()))
+
+
+def split_changes(ents: pa.Table) -> tuple[pa.Table, list[list]]:
+    """(data-file entries, change record) of a ``run_bins`` result: change
+    files ride in the same entry stream, told apart by their directory."""
+    is_cf = pc.starts_with(ents["path"], manifest.CHANGE_DIR + "/")
+    record = manifest.change_items(ents.filter(is_cf).to_pylist(), manifest.CHANGE_FILE)
+    return ents.filter(pc.invert(is_cf)), record
 
 
 def limit_arrow_threads(n: int = 1, io: int = 2) -> None:
@@ -151,16 +172,20 @@ class BinRewriter:
 
     def _apply_merge(
         self, t: pa.Table | None, partition: str, apply_extra: bool = True
-    ) -> pa.Table | None:
+    ) -> tuple[pa.Table | None, list[pa.Table]]:
+        """(rewritten rows, change parts): the target rows the anti-join
+        dropped labelled 'removed' and the appended upserts 'added'."""
         import ray
+
+        changed: list[pa.Table] = []
 
         dk = self._resolved.get(("dk", partition), self.delete_keys.get(partition))
         if t is not None and dk is not None:
             dk = ray.get(dk) if isinstance(dk, ray.ObjectRef) else dk
             # Acero needs exact key-type equality; cast the (small) key table
-            # to this file's column types so an int64 source key or a
-            # pre-evolution file never raises (round-4 advice). dk columns
-            # were null-filtered at merge planning time.
+            # to this file's column types so a pre-evolution file never
+            # raises (round-4 advice). Merge planning already dropped null
+            # keys and keys the target's types cannot hold.
             dk = pa.table(
                 {
                     c: dk[c].cast(t.schema.field(c).type)
@@ -175,13 +200,26 @@ class BinRewriter:
             # Null-key semantics are ANSI MERGE: a NULL never equals any
             # source key, so null-key target rows SURVIVE the anti-join
             # (the pre-round-4 string-key path silently dropped them).
-            t = t.join(dk, keys=["conv_id", "turn_idx"], join_type="left anti")
+            # A row-index column rides through the join so the dropped rows
+            # (the change feed's 'removed') come from one numpy mask, not a
+            # second join.
+            n = t.num_rows
+            kept = t.append_column(_ROW, pa.array(np.arange(n, dtype=np.int64))).join(
+                dk, keys=["conv_id", "turn_idx"], join_type="left anti"
+            )
+            if kept.num_rows < n:
+                hit = np.ones(n, bool)
+                hit[kept[_ROW].to_numpy()] = False
+                changed.append(_labelled(t.filter(pa.array(hit)), "removed"))
+            t = kept.drop_columns([_ROW])
         ex = self._resolved.get(("ex", partition), self.extra.get(partition))
         if ex is not None and apply_extra:
             ex = ray.get(ex) if isinstance(ex, ray.ObjectRef) else ex
             ex_t = pa.ipc.open_stream(ex).read_all()
+            if ex_t.num_rows:
+                changed.append(_labelled(ex_t, "added"))
             t = ex_t if t is None else pa.concat_tables([t, ex_t]).combine_chunks()
-        return t
+        return t, changed
 
     def _sorted(self, t: pa.Table) -> pa.Table:
         if self.sort_mode == "none" or t.num_rows == 0:
@@ -230,7 +268,7 @@ class BinRewriter:
         uid = unit["unit_id"]
         cached = lineage.load_unit(self.table.dir, self.job_id, uid)
         if cached is not None:
-            return cached["entries"]
+            return cached["entries"] + cached.get("changes", [])
         if self.fail_after is not None:
             # count DURABLE completed units (lineage records), not per-instance
             # state: rewriters are rebuilt per task, but the crash the tests
@@ -244,7 +282,7 @@ class BinRewriter:
         t = self._read_inputs(inputs)
         if marks:
             marks.append(("read", time.perf_counter()))
-        t = self._apply_merge(t, partition, bool(unit.get("apply_extra", True)))
+        t, changed = self._apply_merge(t, partition, bool(unit.get("apply_extra", True)))
         if marks:
             marks.append(("merge", time.perf_counter()))
         if t is not None and self.delete_range is not None:
@@ -252,8 +290,20 @@ class BinRewriter:
             c = t[col]
             if pa.types.is_timestamp(c.type):
                 c = c.cast(pa.int64())
-            hit = pc.and_kleene(pc.greater_equal(c, lo), pc.less_equal(c, hi))
-            t = t.filter(pc.invert(pc.fill_null(hit, False)))
+            hit = pc.fill_null(pc.and_kleene(pc.greater_equal(c, lo), pc.less_equal(c, hi)), False)
+            dropped = t.filter(hit)
+            if dropped.num_rows:
+                changed.append(_labelled(dropped, "removed"))
+            t = t.filter(pc.invert(hit))
+        # the unit's change file: written before the lineage record, which
+        # names it, so a resumed job commits the same change record
+        changes = []
+        if changed:
+            changes.append(
+                self.table.write_change_file(
+                    pa.concat_tables(changed), partition, f"{uid}-cdf.parquet"
+                )
+            )
         entries: list[dict] = []
         if t is not None and t.num_rows:
             t = self._sorted(t)
@@ -294,10 +344,11 @@ class BinRewriter:
                 "inputs": inputs,
                 "input_rows": int(unit["in_rows"]),
                 "entries": entries,
+                "changes": changes,
             },
         )
         self.done += 1
-        return entries
+        return entries + changes
 
     def _prefetch_refs(self, units: list[dict]) -> None:
         """Resolve this batch's broadcast slices (delete keys / upsert rows)

@@ -79,7 +79,7 @@ def load_unit(table_dir: str, job_id: str, uid: str) -> dict | None:
             rec = json.load(f)
     except FileNotFoundError:
         return None
-    for e in rec.get("entries", []):
+    for e in rec.get("entries", []) + rec.get("changes", []):
         if not os.path.exists(os.path.join(table_dir, e["path"])):
             return None
     return rec

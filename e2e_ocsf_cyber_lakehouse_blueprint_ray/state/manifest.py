@@ -41,6 +41,16 @@ ENTRY_SCHEMA = pa.schema(
 MANIFEST_DIR = "_manifest"
 _STR_TRUNC = 64
 
+#: change files (Delta ``_change_data`` analog): rows a MERGE/DELETE rewrite
+#: dropped or appended, labelled by a ``change`` column. They are named by
+#: the committing snapshot's change record, never by its live-file entries.
+CHANGE_DIR = "_change_data"
+
+#: ``side`` of a change-record item ``[path, side, rows, bytes]``: a change
+#: file signs each row by its ``change`` column; a whole data file counts
+#: every row as removed (-1) or added (+1)
+CHANGE_FILE, WHOLE_REMOVED, WHOLE_ADDED = 0, -1, 1
+
 
 def empty_entries() -> pa.Table:
     return ENTRY_SCHEMA.empty_table()
@@ -297,6 +307,20 @@ def snapshot_extra(table_dir: str, snapshot_id: int) -> dict[str, str]:
         if k.startswith(b"engine.x."):
             out[k.decode()[len("engine.x."):]] = v.decode()
     return out
+
+
+def change_items(entries, side: int) -> list[list]:
+    """Change-record items for entries shaped like manifest rows (dicts with
+    ``path``, ``rows`` and ``bytes``), all on one ``side``."""
+    return [[e["path"], side, int(e["rows"]), int(e["bytes"])] for e in entries]
+
+
+def change_record(table_dir: str, snapshot_id: int) -> list[list] | None:
+    """The snapshot's change record: ``[path, side, rows, bytes]`` items
+    whose signed rows sum to the commit's content change, or None when the
+    commit stored none (its whole-file diff is then its change set)."""
+    raw = snapshot_extra(table_dir, snapshot_id).get("changes")
+    return None if raw is None else json.loads(raw)
 
 
 def list_snapshot_ids(table_dir: str) -> list[int]:

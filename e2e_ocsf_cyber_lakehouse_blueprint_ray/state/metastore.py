@@ -37,6 +37,7 @@ class Metastore:
         evolve_schema_ser: bytes | None = None,
         extra: dict | None = None,
         new_partition_spec: str | None = None,
+        changes: list[list] | None = None,
     ) -> int:
         import pyarrow as pa
 
@@ -57,6 +58,7 @@ class Metastore:
             evolve_schema=evolve,
             extra=extra,
             new_partition_spec=new_partition_spec,
+            changes=changes,
         )
 
     def current(self) -> int | None:

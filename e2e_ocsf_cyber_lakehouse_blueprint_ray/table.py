@@ -320,6 +320,20 @@ class Table:
             rel, partition, batch, nbytes, stats_cols or self.stats_cols() or None
         )
 
+    def write_change_file(self, rows: pa.Table, partition: str, name: str) -> dict:
+        """Write one change file (atomic; rows carry a ``change`` column)
+        under the change-data dir and return its entry. It is never a live
+        file: the commit names it in its change record."""
+        rel = os.path.join(manifest.CHANGE_DIR, partition, name)
+        nbytes = _write_parquet_atomic(rows, os.path.join(self.dir, rel))
+        return {
+            "path": rel,
+            "partition": partition,
+            "rows": rows.num_rows,
+            "bytes": nbytes,
+            "stats": "",
+        }
+
     def split_by_partition(self, batch: pa.Table, spec: str | None = None) -> dict[str, pa.Table]:
         codes, names = self.partition_codes(batch, spec)
         if len(codes) == 0:
@@ -479,12 +493,18 @@ class Table:
         evolve_schema: pa.Schema | None = None,
         extra: dict | None = None,
         new_partition_spec: str | None = None,
+        changes: list[list] | None = None,
     ) -> int:
         """Commit a new snapshot. ``use_actor=True`` routes through the
         table's metastore actor (multi-writer serialization); otherwise the
         file-based optimistic protocol runs locally. ``extra`` key/values are
         persisted in the snapshot metadata ATOMICALLY with the commit — used
-        e.g. to record consumed ingest files exactly-once (sources/jsonl.py)."""
+        e.g. to record consumed ingest files exactly-once (sources/jsonl.py).
+
+        ``changes`` is the commit's change record (``manifest.change_record``
+        items) for the change feed: MERGE/DELETE pass their change files,
+        content-preserving rewrites pass ``[]``. None stores no record, which
+        means "this commit's whole-file diff" — always correct."""
         if use_actor:
             import ray
 
@@ -504,6 +524,7 @@ class Table:
                     ),
                     extra=extra,
                     new_partition_spec=new_partition_spec,
+                    changes=changes,
                 )
             )
         else:
@@ -515,6 +536,7 @@ class Table:
                 evolve_schema=evolve_schema,
                 extra=extra,
                 new_partition_spec=new_partition_spec,
+                changes=changes,
             )
         if job_id is not None:
             lineage.finalize_job(self.dir, job_id, sid)
@@ -530,6 +552,7 @@ class Table:
         evolve_schema: pa.Schema | None = None,
         extra: dict | None = None,
         new_partition_spec: str | None = None,
+        changes: list[list] | None = None,
     ) -> int:
         removed_set = set(removed)
         if added is not None and added.num_rows:
@@ -558,8 +581,10 @@ class Table:
             live_paths = ents["path"].to_pylist()
             if removed_set and not removed_set <= set(live_paths):
                 raise ConflictError(f"{operation}: removing non-live files")
+            r_removed = 0
             if removed_set:
                 keep = pa.array([p not in removed_set for p in live_paths])
+                r_removed = int(pc.sum(ents.filter(pc.invert(keep))["rows"]).as_py() or 0)
                 ents = ents.filter(keep)
             if added is not None and added.num_rows:
                 live_after = set(live_paths) - removed_set
@@ -584,11 +609,18 @@ class Table:
             r_added = (
                 int(pc.sum(added["rows"]).as_py() or 0) if added is not None and added.num_rows else 0
             )
+            if changes is None:  # no record: the change set is the file diff
+                c_files, c_rows = n_added + len(removed_set), r_added + r_removed
+            else:
+                snap_extra["changes"] = json.dumps(changes)
+                c_files, c_rows = len(changes), sum(int(c[2]) for c in changes)
             snap_extra["metrics"] = json.dumps(
                 {
                     "added_files": n_added,
                     "added_rows": r_added,
                     "removed_files": len(removed_set),
+                    "change_files": c_files,
+                    "change_rows": c_rows,
                 }
             )
             if extra:

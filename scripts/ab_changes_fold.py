@@ -91,6 +91,10 @@ def main() -> None:
     cur = t.current_snapshot_id()
 
     default_cap = changes_mod.PARTIAL_DRIVER_MAX_ROWS
+    # the feed nets up to SUBSET_DRIVER_MAX_ROWS change rows on the driver
+    # without the two-phase netting; force that netting so both arms
+    # exercise the phase-1 fold under test
+    changes_mod.SUBSET_DRIVER_MAX_ROWS = 0
     samples = {"driver_fold": [], "distributed_fold": []}
     feed_rows = None
     # warm both paths once untimed, then interleave timed repeats so ambient

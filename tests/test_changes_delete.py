@@ -5,9 +5,12 @@ cancel), a merge diff equals the brute-force row-set difference, an append
 diff is adds-only; DELETE WHERE matches a plain filter and takes the
 file-drop fast path for files fully contained in the range."""
 
+import os
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pytest
 
 from e2e_ocsf_cyber_lakehouse_blueprint_ray import synth
 from e2e_ocsf_cyber_lakehouse_blueprint_ray.pipelines import derive
@@ -17,7 +20,7 @@ from e2e_ocsf_cyber_lakehouse_blueprint_ray.stages import (
     delete as delete_mod,
     merge as merge_mod,
 )
-from e2e_ocsf_cyber_lakehouse_blueprint_ray.state import lineage
+from e2e_ocsf_cyber_lakehouse_blueprint_ray.state import lineage, manifest
 from tests.test_table import make_table, sorted_scan
 
 
@@ -257,3 +260,112 @@ def test_delete_resume_after_crash(tmp_table_dir, ray_session):
         )
     )
     assert sorted_scan(t).equals(expected)
+
+
+# -- writer-emitted change data: the feed equals the brute-force diff --------
+
+
+def _merge_compact_merge(t, data):
+    """Two MERGEs with a compaction between them: the compaction's empty
+    change record contributes nothing, so the feed reads change files only."""
+    pre = t.current_snapshot_id()
+    src = derive.derived_merge_source(sorted_scan(t))
+    # one conversation: the other partitions keep their small files
+    merge_mod.merge(t, src.filter(pc.equal(src["conv_id"], src["conv_id"][0])))
+    assert compact_mod.compact(t) is not None
+    merge_mod.merge(t, derive.derived_merge_source(sorted_scan(t)))
+    items = changes_mod.change_files(t, pre, t.current_snapshot_id())
+    assert items and all(i[1] == manifest.CHANGE_FILE for i in items)
+    return pre
+
+
+def _noop_update(t, data):
+    """A MERGE update that rewrites a row to its own content cancels."""
+    compact_mod.compact(t)
+    pre = t.current_snapshot_id()
+    rows = sorted_scan(t).slice(0, 2)
+    rows = rows.set_column(
+        rows.schema.get_field_index("text"), "text", pa.array([rows["text"][0].as_py(), "edited"])
+    )
+    merge_mod.merge(t, rows.append_column("op", pa.array(["update", "update"])))
+    return pre
+
+
+def _delete_contained_and_straddling(t, data):
+    """A DELETE that drops whole contained files and rewrites straddlers:
+    both halves of its change record are whole-file removals and change
+    files."""
+    parent = t.current_snapshot_id()
+    lo, hi = _ts_range(data, 0.2, 0.8)
+    delete_mod.delete_where(t, "ts", lo, hi)
+    sides = {i[1] for i in manifest.change_record(t.dir, t.current_snapshot_id())}
+    assert sides == {manifest.CHANGE_FILE, manifest.WHOLE_REMOVED}
+    return parent
+
+
+def _merge_rollback_merge(t, data):
+    """A rollback stores no change record and takes the whole-file path."""
+    compact_mod.compact(t)
+    pre = t.current_snapshot_id()
+    merged = merge_mod.merge(t, derive.derived_merge_source(sorted_scan(t)))
+    t.rollback(pre)
+    assert manifest.change_record(t.dir, t.current_snapshot_id()) is None
+    src = derive.derived_merge_source(sorted_scan(t))
+    merge_mod.merge(t, src.slice(0, src.num_rows // 2))
+    return merged  # from the first MERGE's snapshot: its undo is in range
+
+
+def _merge_resumed(t, data):
+    """A MERGE that crashed after one unit and was re-run: the resumed job
+    reuses the finished unit's change file and rewrites no duplicate."""
+    compact_mod.compact(t)
+    pre = t.current_snapshot_id()
+    src = derive.derived_merge_source(sorted_scan(t))
+    with pytest.raises(Exception):
+        merge_mod.merge(t, src, fail_after=1, concurrency=1)
+    assert t.current_snapshot_id() == pre
+    merge_mod.merge(t, src)
+    rec = manifest.change_record(t.dir, t.current_snapshot_id())
+    paths = [i[0] for i in rec]
+    assert len(paths) == len(set(paths))
+    metrics = t.history()[-1]["metrics"]
+    assert metrics["change_files"] == len(rec)
+    assert metrics["change_rows"] == sum(i[2] for i in rec)
+    on_disk = {
+        os.path.relpath(os.path.join(root, f), t.dir)
+        for root, _d, files in os.walk(os.path.join(t.dir, manifest.CHANGE_DIR))
+        for f in files
+    }
+    assert on_disk == set(paths)
+    return pre
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        _merge_compact_merge,
+        _noop_update,
+        _delete_contained_and_straddling,
+        _merge_rollback_merge,
+        _merge_resumed,
+    ],
+    ids=lambda f: f.__name__.strip("_"),
+)
+@pytest.mark.parametrize("path", ["driver", "distributed"])
+def test_feed_matches_bruteforce(tmp_table_dir, ray_session, monkeypatch, scenario, path):
+    if path == "distributed":
+        monkeypatch.setattr(changes_mod, "PARTIAL_DRIVER_MAX_ROWS", 10)
+        monkeypatch.setattr(changes_mod, "SUBSET_DRIVER_MAX_ROWS", 10)
+    data = synth.transcripts(0.001)
+    # ts-sorted small files: a wide ts range contains whole files
+    data = data.take(pc.sort_indices(data, sort_keys=[("ts", "ascending")]))
+    t = make_table(tmp_table_dir, data, rows_per_file=200)
+    pre = scenario(t, data)
+    before, after = sorted_scan(t, snapshot_id=pre), sorted_scan(t)
+    diff = _collect(changes_mod.snapshot_changes(t, pre, t.current_snapshot_id()))
+    added = diff.filter(pc.equal(diff["change"], "added")).drop_columns(["change"])
+    removed = diff.filter(pc.equal(diff["change"], "removed")).drop_columns(["change"])
+    b, a = _row_keys(before), _row_keys(after)
+    assert a != b
+    assert _row_keys(added) == a - b and added.num_rows == len(a - b)
+    assert _row_keys(removed) == b - a and removed.num_rows == len(b - a)

@@ -2,6 +2,8 @@
 (FIXTURES.md §4: scan equality, multiset preservation, stats correctness,
 idempotent resume, snapshot isolation, skew safety)."""
 
+import os
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -297,3 +299,128 @@ def test_merge_null_and_widened_source_keys(tmp_table_dir, ray_session, base_dat
     assert got.num_rows == base_data.num_rows
     assert got.filter(pc.equal(got["text"], "edited-via-i64-key")).num_rows == 1
     assert got.filter(pc.equal(got["text"], "null-key-noop")).num_rows == 0
+
+
+def _edit_source(base_data, convs, turns, ops) -> pa.Table:
+    n = len(ops)
+    return pa.table(
+        {
+            "conv_id": pa.array(convs, pa.string()),
+            "turn_idx": pa.array(turns, pa.int32()),
+            "role": pa.array(["user"] * n),
+            "text": pa.array([f"edit-{i}" for i in range(n)]),
+            "tool": pa.array([None] * n, pa.string()),
+            "ts": base_data["ts"].slice(0, n).combine_chunks(),
+            "op": pa.array(ops),
+        }
+    )
+
+
+def test_merge_retry_with_null_key_upserts_is_idempotent(tmp_table_dir, ray_session, base_data):
+    """Null-key update/insert rows match nothing and are dropped at
+    planning: a retried MERGE of the same source adds nothing, and no
+    change file records them."""
+    import pyarrow.parquet as pq
+
+    from e2e_ocsf_cyber_lakehouse_blueprint_ray.state import manifest
+
+    t = make_table(tmp_table_dir, base_data)
+    conv = base_data["conv_id"][0].as_py()
+    turn = base_data["turn_idx"][0].as_py()
+    src = _edit_source(
+        base_data, [conv, None, conv], [turn, 5, None], ["update", "insert", "update"]
+    )
+    merge_mod.merge(t, src)
+    once = sorted_scan(t)
+    assert once.num_rows == base_data.num_rows
+    merge_mod.merge(t, src)
+    assert sorted_scan(t).equals(once)
+    for sid in (2, 3):
+        for path, *_ in manifest.change_record(t.dir, sid):
+            rows = pq.read_table(os.path.join(t.dir, path))
+            assert rows["conv_id"].null_count == 0 and rows["turn_idx"].null_count == 0
+
+
+def test_merge_source_missing_column_is_a_planning_error(tmp_table_dir, ray_session, base_data):
+    t = make_table(tmp_table_dir, base_data)
+    src = synth.merge_source(base_data).drop_columns(["tool"])
+    with pytest.raises(ValueError, match="tool"):
+        merge_mod.merge(t, src)
+    assert t.current_snapshot_id() == 1
+
+
+def test_merge_out_of_range_delete_key_matches_nothing(tmp_table_dir, ray_session, base_data):
+    """An int64 delete key above int32 max cannot name an int32 turn_idx:
+    planning drops it, the in-range key in the same partition still
+    deletes its row."""
+    t = make_table(tmp_table_dir, base_data)
+    conv = base_data["conv_id"][0].as_py()
+    turn = base_data["turn_idx"][0].as_py()
+    src = _edit_source(base_data, [conv, conv], [turn, 0], ["delete", "delete"])
+    src = src.set_column(1, "turn_idx", pa.array([turn, 2**31 + 5], pa.int64()))
+    merge_mod.merge(t, src)
+    got = sorted_scan(t)
+    assert got.num_rows == base_data.num_rows - 1
+    hit = pc.and_(pc.equal(got["conv_id"], conv), pc.equal(got["turn_idx"], turn))
+    assert not pc.any(hit).as_py()
+
+
+def _change_dir_files(t) -> set:
+    from e2e_ocsf_cyber_lakehouse_blueprint_ray.state import manifest
+
+    root = os.path.join(t.dir, manifest.CHANGE_DIR)
+    return {
+        os.path.relpath(os.path.join(d, f), t.dir) for d, _s, fs in os.walk(root) for f in fs
+    }
+
+
+def test_expire_and_orphans_handle_change_files(tmp_table_dir, ray_session, base_data):
+    """The churn sequence — MERGEs, then optimize(expire_keep_last=3):
+    expiry deletes the change files of expired snapshots and keeps those a
+    retained snapshot's change record names; remove_orphans sweeps change
+    files no snapshot names (a crashed MERGE's) and nothing else."""
+    from e2e_ocsf_cyber_lakehouse_blueprint_ray.stages import changes, optimize
+    from e2e_ocsf_cyber_lakehouse_blueprint_ray.state import manifest
+
+    t = make_table(tmp_table_dir, base_data)
+    compact_mod.compact(t)
+    convs = sorted(set(base_data["conv_id"].to_pylist()))
+    def updates(picked, turn):
+        return _edit_source(base_data, picked, [turn] * len(picked), ["update"] * len(picked))
+
+    for k in range(3):
+        merge_mod.merge(t, updates(convs[k::40], 0))
+    named = {
+        sid: {c[0] for c in manifest.change_record(t.dir, sid) or ()}
+        for sid in manifest.list_snapshot_ids(t.dir)
+    }
+    assert _change_dir_files(t) == set().union(*named.values())
+    res = optimize.optimize(t, expire_keep_last=3)
+    retained = set(res["expire"])
+    assert any(named[s] for s in named if s not in retained), "an expired MERGE"
+    assert _change_dir_files(t) == set().union(
+        *(named.get(s, set()) for s in retained)
+    )
+    assert expire_mod.remove_orphans(t) == []
+
+    # a crashed MERGE leaves change files that no snapshot names
+    before = _change_dir_files(t)
+    src = updates(convs[5::20], 1)
+    with pytest.raises(Exception):
+        merge_mod.merge(t, src, fail_after=1, concurrency=1)
+    leftovers = _change_dir_files(t) - before
+    assert leftovers
+    swept = set(expire_mod.remove_orphans(t))
+    assert leftovers <= swept and _change_dir_files(t) == before
+
+    # the feed over the retained range, across a new MERGE, is still exact
+    merge_mod.merge(t, src)
+    diff = changes.snapshot_changes(t, min(retained), t.current_snapshot_id()).take_all()
+
+    def keys(rows):
+        return sorted((r["conv_id"], r["turn_idx"], r["text"]) for r in rows)
+
+    b = set(keys(sorted_scan(t, snapshot_id=min(retained)).to_pylist()))
+    a = set(keys(sorted_scan(t).to_pylist()))
+    assert keys(r for r in diff if r["change"] == "added") == sorted(a - b)
+    assert keys(r for r in diff if r["change"] == "removed") == sorted(b - a)
