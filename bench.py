@@ -219,7 +219,7 @@ def run_bench() -> dict:
         from e2e_ocsf_cyber_lakehouse_blueprint_ray import config as _cfg2, synth
         from e2e_ocsf_cyber_lakehouse_blueprint_ray.pipelines.medallion import Medallion
 
-        # 20k/source: below ~5k the 17-concurrent-flow fixed overhead
+        # 20k/source: below ~5k the per-job fixed overhead
         # dominates and the rate reads 10× low (measured 500 ev/s at 2k vs
         # 6.3k ev/s at 20k — with LOWER wall time at 20k)
         n_events = int(os.environ.get("BENCH_MEDALLION_EVENTS", "20000"))
@@ -228,11 +228,7 @@ def run_bench() -> dict:
         synth.write_audit_fixture(f"{med_root}/raw", n_per_source=n_events, files_per_source=8)
         m = Medallion(f"{med_root}/tables", _cfg2.test_config())
         tm = time.time()
-        m.run_all(
-            f"{med_root}/raw",
-            use_actor_gold=True,
-            union_gold=bool(int(os.environ.get("BENCH_MEDALLION_UNION", "0"))),
-        )
+        m.run_all(f"{med_root}/raw", use_actor_gold=True)
         dt_med = time.time() - tm
         qtimes["medallion_all"] = round(dt_med, 3)
         medallion_rate = round(3 * n_events / dt_med, 1)

@@ -7,13 +7,17 @@ EP1 bronze ingest  — Auto Loader JSONL → variant + 7 metadata columns
     functions.meta.BronzeMeta into an ``_event_date``-partitioned Table.
 EP2 silver parse   — readStream.table(bronze) → 17-26 ``try_variant_get``
     extractions (silver_<src>_audit_logs.py:29-82); here: incremental
-    bronze-file scan → functions.variant.SilverExtract actor pool.
+    bronze-file scan → functions.variant.SilverExtract per batch.
 EP3 gold fan-out   — 15 ``@sdp.append_flow`` → 6 shared Delta sinks with
     mergeSchema + pre-created minimal ``time TIMESTAMP`` schema
     (gold_ocsf_iam_event_classes_delta_sinks.py:117-179,184-305;
-    utilities/pre_setup_ocsf_tables.py:96-116); here: 15 GoldTransform
-    flows appending to 6 Tables whose commits are serialized by each
-    table's metastore actor, with schema evolution on first append.
+    utilities/pre_setup_ocsf_tables.py:96-116); here: one job per silver
+    table reads its new files once and fans each batch out to the source's
+    GoldTransform flows, one commit per sink (serialized by each table's
+    metastore actor), with schema evolution on first append.
+
+Silver and gold share one runner, ``Medallion._run_flows``: a silver job is
+the single-route case (bronze → silver), a gold job has one route per class.
 
 Incremental ("streaming table") semantics: each downstream flow records the
 upstream files it consumed in its target's lineage log; a re-run processes
@@ -23,7 +27,9 @@ exactly-once analog at file granularity.
 
 from __future__ import annotations
 
+import json
 import os
+from collections.abc import Callable
 
 import pyarrow as pa
 
@@ -33,7 +39,7 @@ from ..functions.ocsf import GoldTransform, flows
 from ..functions.variant import SilverExtract
 from ..schema import BRONZE
 from ..sources.jsonl import ingest_jsonl
-from ..state import lineage
+from ..state import lineage, manifest
 from ..table import Table
 
 SOURCES = ("github", "slack", "atlassian")
@@ -92,10 +98,6 @@ class Medallion:
     # -- incremental flow helper (S3 streaming-table analog) -------------
 
     def _new_upstream_files(self, upstream: Table, downstream: Table, tag: str) -> list[str]:
-        import json
-
-        from ..state import manifest
-
         log = lineage.read_log(downstream.dir)
         seen: set[str] = set()
         max_logged = -1
@@ -118,62 +120,90 @@ class Medallion:
                 seen.update(json.loads(raw).get(tag, []))
         return [p for p in upstream.live_files() if p not in seen]
 
-    def _run_flow(
+    def _run_flows(
         self,
         upstream: Table,
-        downstream: Table,
-        tag: str,
-        transform,
+        routes: dict[str, tuple[Table, Callable[[pa.Table], pa.Table], pa.Schema]],
         *,
         use_actor: bool,
-        evolve: bool,
-        schema: pa.Schema | None = None,
-    ) -> int | None:
+    ) -> dict[str, int | None]:
+        """Run the flows ``{tag: (sink, transform, schema)}`` that read
+        ``upstream``. One Ray Data job reads the new upstream files once;
+        each batch goes through every route's transform and is written,
+        partition-routed, into that route's sink. Each sink then gets its
+        own commit, which records the flow's consumed files
+        (``flow_inputs``) atomically, plus a lineage unit, so every flow is
+        exactly-once on its own. Routes see different new-file sets only
+        after a crash between two sink commits; each distinct set is read
+        separately. Returns ``{tag: snapshot id, or None if nothing new}``."""
         import ray.data as rd
 
-        new_files = self._new_upstream_files(upstream, downstream, tag)
-        if not new_files:
-            return None
+        from ..stages.rewrite import limit_arrow_threads
         from ..table import DATASET_CONSTRUCT_LOCK
 
-        with DATASET_CONSTRUCT_LOCK:
-            ds = rd.read_parquet(sorted(new_files))
-        out = ds.map_batches(
-            transform,
-            batch_format="pyarrow",
-            batch_size=self.config.batch_size,
-            concurrency=self.config.rewrite_concurrency,
-        )
-        # writer schemas are STATIC (silver_schema / class_schema) — no
-        # dataset-plan probe, no partial execution per flow
-        schema_probe = schema if evolve else None
-        import json
+        out: dict[str, int | None] = {}
+        by_files: dict[tuple[str, ...], list[str]] = {}
+        for tag, (sink, _, _) in routes.items():
+            new_files = tuple(self._new_upstream_files(upstream, sink, tag))
+            if new_files:
+                by_files.setdefault(new_files, []).append(tag)
+            else:
+                out[tag] = None
+        routed = manifest.ENTRY_SCHEMA.append(pa.field("route", pa.string()))
+        for new_files, tags in by_files.items():
+            # sink routing and stats columns resolved once, on the driver
+            writers = []
+            for tag in tags:
+                sink, transform, _ = routes[tag]
+                writers.append((tag, sink, transform, sink.partition_spec(), sink.stats_cols()))
 
-        parent = downstream.current_snapshot_id()
-        sid = downstream.append_dataset(
-            out,
-            operation=f"flow-{tag}",
-            use_actor=use_actor,
-            evolve_schema=schema_probe,
-            extra={"flow_inputs": json.dumps({tag: sorted(new_files)})},
-        )
-        job_id = lineage.job_id_for(f"flow-{tag}", parent, params="|".join(sorted(new_files)))
-        lineage.save_unit(
-            downstream.dir,
-            job_id,
-            lineage.unit_id(new_files),
-            {"partition": "", "inputs": new_files, "input_rows": 0, "entries": []},
-        )
-        lineage.finalize_job(downstream.dir, job_id, sid)
-        return sid
+            def fan_out(batch: pa.Table, writers=writers) -> pa.Table:
+                limit_arrow_threads()
+                rows = [
+                    dict(e, route=tag)
+                    for tag, sink, transform, spec, stats_cols in writers
+                    for e in sink.write_batch_files(transform(batch), spec, stats_cols, "a")
+                ]
+                return pa.Table.from_pylist(rows, schema=routed)
+
+            with DATASET_CONSTRUCT_LOCK:
+                ds = rd.read_parquet(list(new_files))
+            entries = ds.map_batches(
+                fan_out,
+                batch_format="pyarrow",
+                batch_size=self.config.batch_size,
+                concurrency=self.config.rewrite_concurrency,
+            ).take_all()  # tiny: one row per written file
+            for tag in tags:
+                sink, _, schema = routes[tag]
+                mine = [e for e in entries if e["route"] == tag]
+                added = pa.Table.from_pylist(mine, schema=manifest.ENTRY_SCHEMA) if mine else None
+                parent = sink.current_snapshot_id()
+                sid = sink.commit(
+                    added=added,
+                    removed=[],
+                    operation=f"flow-{tag}",
+                    use_actor=use_actor,
+                    evolve_schema=schema,
+                    extra={"flow_inputs": json.dumps({tag: list(new_files)})},
+                )
+                job_id = lineage.job_id_for(f"flow-{tag}", parent, params="|".join(new_files))
+                lineage.save_unit(
+                    sink.dir,
+                    job_id,
+                    lineage.unit_id(list(new_files)),
+                    {"partition": "", "inputs": list(new_files), "input_rows": 0, "entries": []},
+                )
+                lineage.finalize_job(sink.dir, job_id, sid)
+                out[tag] = sid
+        return out
 
     # -- entry points ----------------------------------------------------
 
     @staticmethod
     def _run_parallel(jobs: dict, parallel: bool) -> dict:
         """Run {key: thunk} concurrently (driver threads, one Ray streaming
-        job each — the reference's N-concurrent-flows execution shape) or
-        sequentially."""
+        job each) or sequentially."""
         if not parallel or len(jobs) <= 1:
             return {k: fn() for k, fn in jobs.items()}
         from concurrent.futures import ThreadPoolExecutor
@@ -203,135 +233,48 @@ class Medallion:
         from ..functions.variant import silver_schema
 
         def job(src):
-            return lambda: self._run_flow(
-                self.table(f"bronze_{src}_audit_logs"),
-                self.table(f"silver_{src}_audit_logs"),
-                f"silver-{src}",
-                SilverExtract(src),
-                use_actor=use_actor,
-                evolve=True,
-                schema=silver_schema(src),
-            )
+            tag = f"silver-{src}"
+            sink = self.table(f"silver_{src}_audit_logs")
+            routes = {tag: (sink, SilverExtract(src), silver_schema(src))}
+            upstream = self.table(f"bronze_{src}_audit_logs")
+            return lambda: self._run_flows(upstream, routes, use_actor=use_actor)[tag]
 
         return self._run_parallel({src: job(src) for src in SOURCES}, parallel)
 
     def run_gold(
-        self, *, use_actor: bool = True, union: bool = False, parallel: bool = True
+        self, *, use_actor: bool = True, parallel: bool = True
     ) -> dict[tuple[str, str], int | None]:
-        """15 flows → 6 sinks, launched CONCURRENTLY like the reference's 15
-        ``@append_flow`` streams in one pipeline; commits to a shared sink
-        are serialized by its metastore actor (multi-writer path, S5) — or
-        by the flock'd optimistic file protocol when ``use_actor=False``.
-        ``union=True`` takes the S6 alternative shape: per class,
-        ``Dataset.union`` the 3 per-source transformed streams and append
-        once (one commit per sink instead of three)."""
+        """The reference's 15 ``@append_flow``s into 6 shared sinks, run as
+        one job per silver table: it reads the table's new files once and
+        fans each batch out to the source's class flows, then commits to
+        each of their sinks. The 3 source jobs run concurrently
+        (``parallel``); commits to a shared sink are serialized by its
+        metastore actor (multi-writer path, S5), or by the flock'd
+        optimistic file protocol when ``use_actor=False``. Returns
+        ``{(source, class): snapshot id, or None if nothing new}``."""
         from ..functions.ocsf import class_schema
 
-        if union:
-            return self._run_gold_union(use_actor=use_actor)
-
-        def job(src, cls):
-            return lambda: self._run_flow(
-                self.table(f"silver_{src}_audit_logs"),
-                self.table(GOLD_TABLES[cls]),
-                f"gold-{src}-{cls}",
-                GoldTransform(src, cls),
-                use_actor=use_actor,
-                evolve=True,
-                schema=class_schema(cls),
-            )
-
-        return self._run_parallel(
-            {(src, cls): job(src, cls) for src, cls in flows()}, parallel
-        )
-
-    def _run_gold_union(self, *, use_actor: bool) -> dict[tuple[str, str], int | None]:
-        by_class: dict[str, list[str]] = {}
-        for src, cls in flows():
-            by_class.setdefault(cls, []).append(src)
-        # the 6 per-class union jobs touch DISJOINT sinks — run them
-        # concurrently like the flow mode's 15 streams (they were serial,
-        # which made union mode slower end-to-end despite fewer commits)
-        jobs = {
-            cls: (lambda c=cls, s=srcs: self._run_gold_union_class(c, s, use_actor))
-            for cls, srcs in sorted(by_class.items())
-        }
-        results = self._run_parallel(jobs, parallel=True)
-        out: dict[tuple[str, str], int | None] = {}
-        for cls_result in results.values():
-            out.update(cls_result)
-        return out
-
-    def _run_gold_union_class(
-        self, cls: str, srcs: list[str], use_actor: bool
-    ) -> dict[tuple[str, str], int | None]:
-        import ray.data as rd
-
-        out: dict[tuple[str, str], int | None] = {}
-        sink = self.table(GOLD_TABLES[cls])
-        parent = sink.current_snapshot_id()
-        parts: list = []
-        for src in srcs:
-            upstream = self.table(f"silver_{src}_audit_logs")
-            tag = f"gold-{src}-{cls}"
-            new_files = self._new_upstream_files(upstream, sink, tag)
-            if not new_files:
-                out[(src, cls)] = None
-                continue
-            from ..table import DATASET_CONSTRUCT_LOCK
-
-            # same guard as _run_flow: Ray's lazy fsspec import inside
-            # read_parquet races when dataset plans are built from threads
-            with DATASET_CONSTRUCT_LOCK:
-                ds = rd.read_parquet(sorted(new_files))
-            ds = ds.map_batches(
-                GoldTransform(src, cls),
-                batch_format="pyarrow",
-                batch_size=self.config.batch_size,
-            )
-            parts.append((src, ds, new_files))
-        if not parts:
-            return out
-        unioned = parts[0][1]
-        for _, ds, _ in parts[1:]:
-            unioned = unioned.union(ds)
-        import json
-
-        from ..functions.ocsf import class_schema
-
-        sid = sink.append_dataset(
-            unioned,
-            operation=f"flow-gold-union-{cls}",
-            use_actor=use_actor,
-            evolve_schema=class_schema(cls),
-            extra={
-                "flow_inputs": json.dumps(
-                    {f"gold-{src}-{cls}": sorted(nf) for src, _, nf in parts}
+        def job(src):
+            routes = {
+                f"gold-{src}-{cls}": (
+                    self.table(GOLD_TABLES[cls]),
+                    GoldTransform(src, cls),
+                    class_schema(cls),
                 )
-            },
-        )
-        for src, _, new_files in parts:
-            tag = f"gold-{src}-{cls}"
-            job_id = lineage.job_id_for(
-                f"flow-{tag}", parent, params="|".join(sorted(new_files))
-            )
-            lineage.save_unit(
-                sink.dir,
-                job_id,
-                lineage.unit_id(new_files),
-                {"partition": "", "inputs": new_files, "input_rows": 0, "entries": []},
-            )
-            lineage.finalize_job(sink.dir, job_id, sid)
-            out[(src, cls)] = sid
-        return out
+                for s, cls in flows()
+                if s == src
+            }
+            upstream = self.table(f"silver_{src}_audit_logs")
+            return lambda: self._run_flows(upstream, routes, use_actor=use_actor)
 
-    def run_all(
-        self, fixture_root: str, *, use_actor_gold: bool = True, union_gold: bool = False
-    ) -> None:
+        per_src = self._run_parallel({src: job(src) for src in SOURCES}, parallel)
+        return {(src, cls): per_src[src][f"gold-{src}-{cls}"] for src, cls in flows()}
+
+    def run_all(self, fixture_root: str, *, use_actor_gold: bool = True) -> None:
         self.setup()
         self.run_bronze(fixture_root)
         self.run_silver()
-        self.run_gold(use_actor=use_actor_gold, union=union_gold)
+        self.run_gold(use_actor=use_actor_gold)
 
     def summary(self) -> pa.Table:
         """The reference's unified-table analytical query

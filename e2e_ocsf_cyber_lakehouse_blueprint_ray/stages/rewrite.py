@@ -261,10 +261,6 @@ class BinRewriter:
     # -- per-bin work ----------------------------------------------------
 
     def _do_unit(self, unit: dict) -> list[dict]:
-        import time
-
-        prof_path = os.environ.get("ENGINE_PROFILE_REWRITE")
-        marks: list[tuple[str, float]] = [("t0", time.perf_counter())] if prof_path else []
         uid = unit["unit_id"]
         cached = lineage.load_unit(self.table.dir, self.job_id, uid)
         if cached is not None:
@@ -280,11 +276,7 @@ class BinRewriter:
         inputs = json.loads(unit["inputs_json"])
         partition = unit["partition"]
         t = self._read_inputs(inputs)
-        if marks:
-            marks.append(("read", time.perf_counter()))
         t, changed = self._apply_merge(t, partition, bool(unit.get("apply_extra", True)))
-        if marks:
-            marks.append(("merge", time.perf_counter()))
         if t is not None and self.delete_range is not None:
             col, lo, hi = self.delete_range
             c = t[col]
@@ -307,8 +299,6 @@ class BinRewriter:
         entries: list[dict] = []
         if t is not None and t.num_rows:
             t = self._sorted(t)
-            if marks:
-                marks.append(("sort", time.perf_counter()))
             rpf = self._split_rows(int(unit["in_rows"]), int(unit["in_bytes"]), t.num_rows)
             k = 0
             for off in range(0, t.num_rows, rpf):
@@ -317,24 +307,6 @@ class BinRewriter:
                     self.table.write_file(sl, partition, f"{uid}-{k:04d}.parquet", self.stats_cols)
                 )
                 k += 1
-            if marks:
-                marks.append(("write", time.perf_counter()))
-        if marks:
-            # env-gated single-node diagnostic: one JSON line per unit with
-            # per-phase wall deltas (O_APPEND keeps small lines atomic)
-            deltas = {
-                marks[i][0]: round(marks[i][1] - marks[i - 1][1], 4)
-                for i in range(1, len(marks))
-            }
-            deltas.update(
-                unit_rows=int(unit["in_rows"]),
-                unit_bytes=int(unit["in_bytes"]),
-                pid=os.getpid(),
-                mode="merge" if self.delete_keys else self.sort_mode,
-                end=round(time.time(), 3),
-            )
-            with open(prof_path, "a") as f:
-                f.write(json.dumps(deltas) + "\n")
         lineage.save_unit(
             self.table.dir,
             self.job_id,

@@ -171,9 +171,7 @@ def compute_stats(table: pa.Table, cols: list[str] | None = None) -> dict:
         if isinstance(hi, str):
             hi = truncate_max(hi)
         out[name] = {"min": lo, "max": hi, "nulls": nulls}
-        if pa.types.is_string(t) and not os.environ.get("ENGINE_DISABLE_BLOOMS"):
-            # env gate: lets the bench isolate bloom-build cost on the
-            # write path (readers treat a missing bloom as "may contain")
+        if pa.types.is_string(t):
             uniq = pc.unique(
                 col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
             )

@@ -379,6 +379,22 @@ class Table:
         added = pa.Table.from_pylist(entries, schema=manifest.ENTRY_SCHEMA) if entries else None
         return self.commit(added=added, removed=[], operation=operation, use_actor=use_actor)
 
+    def write_batch_files(
+        self, batch: pa.Table, spec: str, stats_cols: list[str], name_prefix: str
+    ) -> list[dict]:
+        """Route one batch's rows to partition dirs, write one file per
+        partition and return their manifest entries: the per-batch body of
+        every distributed writer (``stage_dataset_files``, the medallion's
+        flows). Runs in Ray tasks; callers resolve ``spec`` and
+        ``stats_cols`` once on the driver."""
+        import uuid
+
+        wid = uuid.uuid4().hex[:10]
+        return [
+            self.write_file(chunk, part, f"{name_prefix}-{wid}-{seq:05d}.parquet", stats_cols)
+            for seq, (part, chunk) in enumerate(self.split_by_partition(batch, spec).items())
+        ]
+
     def stage_dataset_files(
         self,
         ds,
@@ -390,33 +406,26 @@ class Table:
         """Write a Dataset's rows as partition-routed Parquet files WITHOUT
         committing; returns the manifest entries (one small row per file).
         ``spec`` overrides the partition routing (partition evolution)."""
-        table_dir, cfg_ = self.dir, self.config
+        spec = spec if spec is not None else self.partition_spec()
         stats_cols = self.stats_cols()
 
         def write_batch(batch: pa.Table) -> pa.Table:
-            import uuid
-
             from .stages.rewrite import limit_arrow_threads
 
             limit_arrow_threads()
-            t = Table(table_dir, cfg_)
-            wid = uuid.uuid4().hex[:10]
-            entries = []
             if sort_within_file:
                 idx = pc.sort_indices(
                     batch, sort_keys=[(k, "ascending") for k in sort_within_file]
                 )
                 batch = batch.take(idx)
-            for seq, (part, chunk) in enumerate(t.split_by_partition(batch, spec).items()):
-                name = f"{name_prefix}-{wid}-{seq:05d}.parquet"
-                entries.append(t.write_file(chunk, part, name, stats_cols))
+            entries = self.write_batch_files(batch, spec, stats_cols, name_prefix)
             return pa.Table.from_pylist(entries, schema=manifest.ENTRY_SCHEMA)
 
         ent_ds = ds.map_batches(
             write_batch,
             batch_format="pyarrow",
-            batch_size=cfg_.batch_size,
-            concurrency=cfg_.rewrite_concurrency,
+            batch_size=self.config.batch_size,
+            concurrency=self.config.rewrite_concurrency,
         )
         entry_rows = ent_ds.take_all()  # tiny: one row per written file
         return (

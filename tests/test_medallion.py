@@ -8,7 +8,11 @@ import pytest
 
 from e2e_ocsf_cyber_lakehouse_blueprint_ray import config as cfg, synth
 from e2e_ocsf_cyber_lakehouse_blueprint_ray.functions.ocsf import GoldTransform, flows
-from e2e_ocsf_cyber_lakehouse_blueprint_ray.pipelines.medallion import GOLD_TABLES, Medallion
+from e2e_ocsf_cyber_lakehouse_blueprint_ray.pipelines.medallion import (
+    GOLD_TABLES,
+    SOURCES,
+    Medallion,
+)
 from e2e_ocsf_cyber_lakehouse_blueprint_ray.sources.jsonl import ingest_jsonl
 
 
@@ -276,40 +280,89 @@ def test_fifteen_flows_registered():
     GoldTransform("github", "account_change")  # constructs + compiles
 
 
-def test_gold_union_mode_equals_flow_mode(tmp_path_factory, ray_session):
-    """S6 alternative: per-class Dataset.union of 3 transformed streams →
-    single append; result matches the 3-appends-per-sink mode."""
-    import pyarrow.compute as pc_
-
-    root = tmp_path_factory.mktemp("medallion_union")
+def _silver_ready(root, n_per_source):
     fixtures = str(root / "raw")
-    synth.write_audit_fixture(fixtures, n_per_source=60)
+    synth.write_audit_fixture(fixtures, n_per_source=n_per_source, wave="w1", start=0)
     m = Medallion(str(root / "tables"), cfg.test_config())
     m.setup()
     m.run_bronze(fixtures)
     m.run_silver()
-    out = m.run_gold(union=True, use_actor=False)
-    assert any(v is not None for v in out.values())
-    # rerun is a no-op (incremental consumption recorded per flow)
-    out2 = m.run_gold(union=True, use_actor=False)
-    assert all(v is None for v in out2.values())
-    # counts match an independently-run flow-mode medallion
-    m2 = Medallion(str(root / "tables2"), cfg.test_config())
-    m2.setup()
-    m2.run_bronze(fixtures)
-    m2.run_silver()
-    m2.run_gold(union=False, use_actor=False)
-    for cls, name in GOLD_TABLES.items():
-        a = m.table(name).read_arrow(columns=["class_uid"]).num_rows
-        b = m2.table(name).read_arrow(columns=["class_uid"]).num_rows
-        assert a == b, cls
+    return m, fixtures
+
+
+def _gold_counts(m):
+    """{(sink, _source): rows} over the six gold sinks."""
+    out = {}
+    for name in GOLD_TABLES.values():
+        got = m.table(name).read_arrow(columns=["_source"])
+        for src in set(got["_source"].to_pylist()):
+            out[(name, src)] = got.filter(pc.equal(got["_source"], src)).num_rows
+    return out
+
+
+def test_gold_reads_each_silver_table_once(tmp_path, ray_session, monkeypatch):
+    """One gold run reads each silver table's new files in ONE Ray Data
+    read and fans the batches out to the source's 4-5 class sinks."""
+    import ray.data as rd
+
+    m, _ = _silver_ready(tmp_path, 30)
+    reads = []
+    real = rd.read_parquet
+
+    def counting(paths, **kw):
+        reads.append(sorted(paths))
+        return real(paths, **kw)
+
+    monkeypatch.setattr(rd, "read_parquet", counting)
+    out = m.run_gold(use_actor=False)
+    assert all(v is not None for v in out.values())
+    silver = [m.table(f"silver_{src}_audit_logs").live_files() for src in SOURCES]
+    assert sorted(reads) == sorted(silver)
+
+
+@pytest.mark.parametrize("k", [1, 7])
+def test_gold_crash_between_sink_commits_resumes_exactly_once(
+    tmp_path, ray_session, monkeypatch, k
+):
+    """A crash after the k-th of a run's 15 sink commits leaves some flows
+    of a silver table committed and the rest not. A second wave lands
+    before the resume, so the committed flows see only its files and the
+    others see both waves: the resume reads each file set separately and
+    the sinks end up equal to a clean run, nothing lost or doubled."""
+    from e2e_ocsf_cyber_lakehouse_blueprint_ray.table import Table
+
+    m, fixtures = _silver_ready(tmp_path / "crash", 40)
+    real = Table.commit
+    calls = []
+
+    def crashing(self, **kw):
+        calls.append(kw["operation"])
+        if len(calls) > k:
+            raise RuntimeError("injected crash")
+        return real(self, **kw)
+
+    monkeypatch.setattr(Table, "commit", crashing)
+    with pytest.raises(RuntimeError, match="injected crash"):
+        m.run_gold(use_actor=False, parallel=False)
+    monkeypatch.undo()
+    assert len(calls) == k + 1
+
+    synth.write_audit_fixture(fixtures, n_per_source=20, wave="w2", start=1000)
+    m.run_bronze(fixtures)
+    m.run_silver()
+    assert all(v is not None for v in m.run_gold(use_actor=False).values())
+    assert all(v is None for v in m.run_gold(use_actor=False).values())
+
+    clean = Medallion(str(tmp_path / "clean" / "tables"), cfg.test_config())
+    clean.run_all(fixtures, use_actor_gold=False)
+    assert _gold_counts(m) == _gold_counts(clean)
 
 
 def test_gold_parallel_file_protocol_matches_actor_path(tmp_path_factory, ray_session):
-    """15 concurrent gold flows through the flock'd FILE-based optimistic
-    commit protocol (use_actor=False, parallel=True) — shared sinks receive
-    2-3 racing committers and must converge to the same counts as the
-    actor-serialized path."""
+    """3 concurrent gold jobs (one per silver table, 15 flows) through the
+    flock'd FILE-based optimistic commit protocol (use_actor=False,
+    parallel=True) — shared sinks receive 2-3 racing committers and must
+    converge to the same counts as the actor-serialized path."""
     root = tmp_path_factory.mktemp("medallion_par")
     fixtures = str(root / "raw")
     synth.write_audit_fixture(fixtures, n_per_source=60)
