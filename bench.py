@@ -7,7 +7,11 @@ representative query set over the testdata tables.
 
 Prints ONE JSON line:
   {"metric": ..., "value": <headline seconds>, "unit": "sec",
-   "queries": {...}, "sf": ..., "num_cpus": N, "turns_per_sec": ...}
+   "queries": {...}, "sf": ..., "num_cpus": N, "turns_per_sec": ...,
+   "cores_available": ..., "total_ram_mb": ...}
+
+``RAY_GRAFT_CPUS`` (Ray's CPU count) defaults to the cores this process may
+run on (its affinity mask), so the bench never oversubscribes its host.
 
 ``--scaling`` runs the same bench in two fresh processes at
 RAY_GRAFT_CPUS=8 and =32 on the same input (sandbox stand-in for N vs 4N
@@ -25,7 +29,9 @@ import time
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+CORES_AVAILABLE = len(os.sched_getaffinity(0))
+TOTAL_RAM_MB = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2**20
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", CORES_AVAILABLE))
 CACHE = "/tmp/lakeray/bench-cache"
 
 BENCH_QUERIES = [
@@ -254,6 +260,8 @@ def run_bench() -> dict:
         "queries": qtimes,
         "sf": sf,
         "num_cpus": NUM_CPUS,
+        "cores_available": CORES_AVAILABLE,
+        "total_ram_mb": TOTAL_RAM_MB,
         "rows": n_rows,
         "scanned_rows": scanned,
         "turns_per_sec": round(n_rows * 3 / headline, 1),

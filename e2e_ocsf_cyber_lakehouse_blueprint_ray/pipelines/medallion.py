@@ -155,7 +155,10 @@ class Medallion:
             writers = []
             for tag in tags:
                 sink, transform, _ = routes[tag]
-                writers.append((tag, sink, transform, sink.partition_spec(), sink.stats_cols()))
+                meta = sink.snapshot()[1]
+                writers.append(
+                    (tag, sink, transform, meta["partition_spec"], manifest.stats_cols(meta))
+                )
 
             def fan_out(batch: pa.Table, writers=writers) -> pa.Table:
                 limit_arrow_threads()
@@ -192,7 +195,7 @@ class Medallion:
                     sink.dir,
                     job_id,
                     lineage.unit_id(list(new_files)),
-                    {"partition": "", "inputs": list(new_files), "input_rows": 0, "entries": []},
+                    {"partition": "", "inputs": list(new_files), "input_rows": 0},
                 )
                 lineage.finalize_job(sink.dir, job_id, sid)
                 out[tag] = sid

@@ -101,7 +101,7 @@ def ingest_jsonl(
         table.dir,
         job_id,
         uid,
-        {"partition": "", "inputs": new, "input_rows": 0, "entries": []},
+        {"partition": "", "inputs": new, "input_rows": 0},
     )
     lineage.finalize_job(table.dir, job_id, sid)
     return sid, new

@@ -121,11 +121,9 @@ def _signs(b: pa.Table, side: int) -> np.ndarray:
 
 #: phase-1 partials of the distributed netting fold on the driver below this
 #: many rows (~24 B each); above it a distributed narrow-row sort takes
-#: over. Env-tunable so the two folds can be A/B-measured on one input (0
-#: forces the distributed fold — the 100-TB shape — everywhere).
-PARTIAL_DRIVER_MAX_ROWS = int(
-    os.environ.get("ENGINE_CHANGES_PARTIAL_DRIVER_MAX_ROWS", 8_000_000)
-)
+#: over. Tests and ``scripts/ab_changes_fold.py`` set the module attribute
+#: (0 forces the distributed fold — the 100-TB shape — everywhere).
+PARTIAL_DRIVER_MAX_ROWS = 8_000_000
 #: at most this many change rows (known from the change records before any
 #: read) net on the driver with pyarrow; more run the distributed netting.
 #: The distributed netting's phase 2 uses the same cap on changed hashes.

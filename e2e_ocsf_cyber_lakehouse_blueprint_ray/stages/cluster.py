@@ -32,7 +32,7 @@ import pyarrow.compute as pc
 
 from ..config import EngineConfig
 from ..hashing import curve_key, hash64_column
-from ..state import lineage
+from ..state import lineage, manifest
 from ..state.manifest import ENTRY_SCHEMA
 from ..table import Table
 from . import rewrite
@@ -81,23 +81,21 @@ def add_cluster_key(
     return batch.append_column("_part", part).append_column("_zkey", pa.array(zk))
 
 
-def ts_range_from_entries(ents: pa.Table) -> tuple[int, int] | None:
-    """Global (min, max) ts in microseconds from manifest stats — free."""
-    import json
-
-    lo, hi = None, None
-    for s in ents["stats"].to_pylist():
-        st = json.loads(s) if s else {}
-        cs = st.get("ts") or {}
-        if cs.get("min") is not None:
-            lo = cs["min"] if lo is None else min(lo, cs["min"])
-        if cs.get("max") is not None:
-            hi = cs["max"] if hi is None else max(hi, cs["max"])
+def _stats_range(ents: pa.Table, col: str) -> tuple[int, int] | None:
+    """Table-wide (min, max) of a numeric column from manifest stats — free
+    (timestamps in their int unit)."""
+    lo, hi, _ = manifest.col_bounds(ents, col)
+    lo, hi = pc.min(lo).as_py(), pc.max(hi).as_py()
     return (int(lo), int(hi)) if lo is not None and hi is not None else None
 
 
 def _write_sorted_batch(
-    batch: pa.Table, *, table_dir: str, config: EngineConfig, bytes_per_row: float
+    batch: pa.Table,
+    *,
+    table_dir: str,
+    config: EngineConfig,
+    bytes_per_row: float,
+    stats_cols: list[str],
 ) -> pa.Table:
     """Write one sorted batch as data files, splitting at partition
     boundaries. A stateless task fn (no actor pool on the critical path);
@@ -106,7 +104,6 @@ def _write_sorted_batch(
 
     rewrite.limit_arrow_threads()
     table = Table(table_dir, config)
-    stats_cols = table.stats_cols() or None
     rows_per_file = max(
         1,
         min(config.max_rows_per_file, int(config.target_file_bytes / max(1.0, bytes_per_row))),
@@ -135,11 +132,11 @@ def _write_sorted_batch(
     return pa.Table.from_pylist(entries, schema=ENTRY_SCHEMA)
 
 
-def plan_partition_bins(table: Table, snapshot_id: int | None = None) -> list[dict]:
+def plan_partition_bins(ents: pa.Table) -> list[dict]:
     """One bin per table partition containing ALL its files — the unit of
     the shuffle-free cluster path (the whole partition is sorted in-task)."""
-    ents = table.entries(snapshot_id)
-    by_path = {r["path"]: r for r in ents.to_pylist()}
+    cols = ["path", "partition", "rows", "bytes"]
+    by_path = {r["path"]: r for r in ents.select(cols).to_pylist()}
     by_part: dict[str, list[str]] = {}
     for r in by_path.values():
         by_part.setdefault(r["partition"], []).append(r["path"])
@@ -162,11 +159,12 @@ def cluster(
     cfg = table.config
     curve = curve or cfg.curve
     parent = table.current_snapshot_id()
-    ents = table.entries(parent)
+    ents, meta = table.snapshot(parent)
     if ents.num_rows == 0:
         return None
     removed = ents["path"].to_pylist()
-    sch = table.schema(parent)
+    sch = meta["schema"]
+    stats_cols = manifest.stats_cols(meta)
     names = set(sch.names) if sch is not None else set()
     if ts_col is None:
         ts_col = next((c for c in ("ts", "time", "_event_time") if c in names), "ts")
@@ -177,23 +175,22 @@ def cluster(
     # (post_setup_ocsf_tables.py:44)
 
     if mode == "auto":
-        part_bytes: dict[str, int] = {}
-        for r in ents.to_pylist():
-            part_bytes[r["partition"]] = part_bytes.get(r["partition"], 0) + r["bytes"]
+        part_bytes = ents.group_by("partition").aggregate([("bytes", "sum")])["bytes_sum"]
         mode = (
             "partition"
-            if part_bytes and max(part_bytes.values()) <= cfg.partition_sort_max_bytes
+            if pc.max(part_bytes).as_py() <= cfg.partition_sort_max_bytes
             else "global"
         )
     job_id = lineage.job_id_for(f"cluster-{curve}-{mode}", parent)
 
     if mode == "partition":
-        bins = plan_partition_bins(table, snapshot_id=parent)
         added = rewrite.run_bins(
             table,
-            bins,
+            plan_partition_bins(ents),
             job_id,
             concurrency=concurrency,
+            schema=sch,
+            stats_cols=stats_cols,
             sort_mode="zorder",
             curve=curve,
             cluster_key_col=key_col or "__missing__",
@@ -206,7 +203,7 @@ def cluster(
                 "global cluster mode needs the hash key column "
                 "(conv_id); key-less tables cluster per partition"
             )
-        spec = table.partition_spec(parent)
+        spec = meta["partition_spec"]
         total_rows = int(pc.sum(ents["rows"]).as_py() or 0)
         total_bytes = int(pc.sum(ents["bytes"]).as_py() or 0)
         bpr = total_bytes / max(1, total_rows)
@@ -225,7 +222,7 @@ def cluster(
                 config=cfg,
                 curve=curve,
                 spec=spec,
-                ts_range=ts_range_from_entries(ents),
+                ts_range=_stats_range(ents, "ts"),
             ),
             batch_format="pyarrow",
             batch_size=None,  # whole-block batches: no rebatch copy before the shuffle
@@ -238,7 +235,9 @@ def cluster(
         )
         ent_ds = ds.map_batches(
             _write_sorted_batch,
-            fn_kwargs=dict(table_dir=table.dir, config=cfg, bytes_per_row=bpr),
+            fn_kwargs=dict(
+                table_dir=table.dir, config=cfg, bytes_per_row=bpr, stats_cols=stats_cols
+            ),
             batch_format="pyarrow",
             batch_size=writer_rows,
             concurrency=conc,
@@ -261,21 +260,6 @@ def cluster(
     )
 
 
-def col_range_from_entries(ents: pa.Table, col: str) -> tuple[int, int] | None:
-    """Global (min, max) of a NUMERIC stats column from the manifest."""
-    import json
-
-    lo, hi = None, None
-    for s in ents["stats"].to_pylist():
-        st = json.loads(s) if s else {}
-        cs = st.get(col) or {}
-        if isinstance(cs.get("min"), (int, float)):
-            lo = cs["min"] if lo is None else min(lo, cs["min"])
-        if isinstance(cs.get("max"), (int, float)):
-            hi = cs["max"] if hi is None else max(hi, cs["max"])
-    return (int(lo), int(hi)) if lo is not None and hi is not None else None
-
-
 def cluster_by_columns(
     table: Table,
     cols: list[str],
@@ -295,22 +279,20 @@ def cluster_by_columns(
 
     cfg = table.config
     parent = table.current_snapshot_id()
-    ents = table.entries(parent)
+    ents, meta = table.snapshot(parent)
     if ents.num_rows == 0 or not cols:
         return None
     removed = ents["path"].to_pylist()
-    sch = table.schema(parent)
+    sch = meta["schema"]
     for c in cols:
         if c not in sch.names:
             raise ValueError(f"unknown cluster column {c!r}")
     # 63, not 64: the sort key rides as int64 and must stay non-negative
     bits = 63 // len(cols)
     ranges = {
-        c: col_range_from_entries(ents, c)
-        for c in cols
-        if not pa.types.is_string(sch.field(c).type)
+        c: _stats_range(ents, c) for c in cols if not pa.types.is_string(sch.field(c).type)
     }
-    spec = table.partition_spec(parent)
+    spec = meta["partition_spec"]
 
     def add_key(batch: pa.Table) -> pa.Table:
         mask = (np.uint64(1) << np.uint64(bits)) - np.uint64(1)
@@ -349,7 +331,12 @@ def cluster_by_columns(
     writer_rows = max(1, min(cfg.max_rows_per_file, int(cfg.target_file_bytes / max(1.0, bpr))))
     ent_ds = ds.map_batches(
         _write_sorted_batch,
-        fn_kwargs=dict(table_dir=table.dir, config=cfg, bytes_per_row=bpr),
+        fn_kwargs=dict(
+            table_dir=table.dir,
+            config=cfg,
+            bytes_per_row=bpr,
+            stats_cols=manifest.stats_cols(meta),
+        ),
         batch_format="pyarrow",
         batch_size=writer_rows,
         concurrency=conc,

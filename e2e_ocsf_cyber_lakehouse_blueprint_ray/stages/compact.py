@@ -15,27 +15,23 @@ from __future__ import annotations
 
 import json
 
-from ..state import lineage
+import pyarrow as pa
+
+from ..config import EngineConfig
+from ..state import lineage, manifest
 from ..table import Table
 from . import rewrite
 
 
 def plan_compaction(
-    table: Table,
-    *,
-    recluster: bool = False,
-    snapshot_id: int | None = None,
-    partitions: list[str] | None = None,
+    ents: pa.Table, cfg: EngineConfig, *, partitions: list[str] | None = None
 ) -> list[dict]:
-    """Bin descriptors from manifest entries. ``recluster=True`` packs ALL
-    files (used by per-partition clustering); otherwise only small files, and
-    single-file bins are skipped (nothing to gain). ``partitions`` scopes
-    the plan to named partitions (the OPTIMIZE WHERE analog: maintain a hot
-    slice without touching the rest of a 10^12-row table)."""
-    cfg = table.config
-    ents = table.entries(snapshot_id)
+    """Bin descriptors from a snapshot's manifest entries: small files
+    only, and single-file bins are skipped (nothing to gain). ``partitions``
+    scopes the plan to named partitions (the OPTIMIZE WHERE analog: maintain
+    a hot slice without touching the rest of a 10^12-row table)."""
     by_path = {
-        r["path"]: r for r in ents.to_pylist()
+        r["path"]: r for r in ents.select(["path", "partition", "rows", "bytes"]).to_pylist()
     }
     by_part: dict[str, list[dict]] = {}
     for r in by_path.values():
@@ -46,19 +42,17 @@ def plan_compaction(
     threshold = cfg.small_file_fraction * cfg.target_file_bytes
     bins: list[dict] = []
     for part in sorted(by_part):
-        files = sorted(by_part[part], key=lambda r: r["path"])
-        if not recluster:
-            files = [f for f in files if f["bytes"] < threshold]
+        files = [f for f in by_part[part] if f["bytes"] < threshold]
         cur: list[str] = []
         cur_bytes = 0
-        for f in files:
+        for f in sorted(files, key=lambda r: r["path"]):
             if cur and cur_bytes + f["bytes"] > cfg.target_file_bytes:
-                if recluster or len(cur) > 1:
+                if len(cur) > 1:
                     bins.append(rewrite.make_bin(cur, part, by_path))
                 cur, cur_bytes = [], 0
             cur.append(f["path"])
             cur_bytes += f["bytes"]
-        if cur and (recluster or len(cur) > 1):
+        if len(cur) > 1:
             bins.append(rewrite.make_bin(cur, part, by_path))
     return bins
 
@@ -81,11 +75,12 @@ def compact(
     from .. import schema as schema_mod
 
     parent = table.current_snapshot_id()
-    bins = plan_compaction(table, partitions=partitions)
+    ents, meta = table.snapshot(parent)
+    bins = plan_compaction(ents, table.config, partitions=partitions)
     if not bins:
         return None
+    sch = meta["schema"]
     if sort_key is None:
-        sch = table.schema(parent)
         sort_key = schema_mod.sort_key(sch) if sch is not None else []
     job_id = lineage.job_id_for(
         "compact", parent, ",".join(sorted(partitions)) if partitions else ""
@@ -95,6 +90,8 @@ def compact(
         bins,
         job_id,
         concurrency=concurrency,
+        schema=sch,
+        stats_cols=manifest.stats_cols(meta),
         sort_mode="key" if sort_key else "none",
         sort_key=sort_key,
         fail_after=fail_after,

@@ -18,13 +18,14 @@ the live files into three classes —
                                                  machinery (byte-capped bins,
                                                  lineage resume, LPT order)
 
+The classes are masks over the column's bounds (``manifest.col_bounds``).
 Timestamp columns compare as int64 µs — the exact representation the
-manifest stats store (state/manifest.py::_plain).
+manifest stats store for the engine's tables.
 """
 
 from __future__ import annotations
 
-import json
+import pyarrow.compute as pc
 
 from ..state import lineage, manifest
 from ..table import Table
@@ -48,25 +49,26 @@ def delete_where(
     rewritten.
     """
     parent = table.current_snapshot_id()
-    ents = table.entries(parent)
-    by_path = {r["path"]: r for r in ents.to_pylist()}
+    ents, meta = table.snapshot(parent)
+    by_path = {r["path"]: r for r in ents.select(["path", "rows", "bytes"]).to_pylist()}
 
-    dropped: list[str] = []
+    # an unknown bound (no stats) is neither disjoint nor contained: rewritten
+    cmin, cmax, nulls = manifest.col_bounds(ents, col)
+    disjoint = pc.fill_null(pc.or_kleene(pc.less(cmax, lo), pc.greater(cmin, hi)), False)
+    contained = pc.fill_null(
+        pc.and_(
+            pc.and_(pc.greater_equal(cmin, lo), pc.less_equal(cmax, hi)),
+            pc.equal(nulls, 0),
+        ),
+        False,
+    )
+    dropped = ents["path"].filter(contained).to_pylist()  # file-level delete, no read
+    straddle = pc.invert(pc.or_(disjoint, contained))
     straddling: dict[str, list[str]] = {}  # partition -> paths
-    for r in by_path.values():
-        st = json.loads(r["stats"]) if r["stats"] else {}
-        cs = st.get(col) or {}
-        cmin, cmax = cs.get("min"), cs.get("max")
-        nulls = cs.get("nulls", 0)
-        if cmin is None or cmax is None:
-            straddling.setdefault(r["partition"], []).append(r["path"])  # no stats
-            continue
-        if cmax < lo or cmin > hi:
-            continue  # disjoint: untouched
-        if lo <= cmin and cmax <= hi and nulls == 0:
-            dropped.append(r["path"])  # contained: file-level delete, no read
-        else:
-            straddling.setdefault(r["partition"], []).append(r["path"])
+    for part, path in zip(
+        ents["partition"].filter(straddle).to_pylist(), ents["path"].filter(straddle).to_pylist()
+    ):
+        straddling.setdefault(part, []).append(path)
 
     params = f"delete:{col}:{lo}:{hi}"
     bin_cap = max(table.config.target_file_bytes, 1)
@@ -94,6 +96,8 @@ def delete_where(
         units,
         job_id,
         concurrency=concurrency,
+        schema=meta["schema"],
+        stats_cols=manifest.stats_cols(meta),
         sort_mode="key",
         sort_key=["conv_id", "turn_idx"],
         delete_range=(col, lo, hi),

@@ -17,25 +17,23 @@ the rows it dropped and appended, which the commit's change record names for
 the change feed (stages/changes.py).
 
 Scale shape: the SOURCE side of a MERGE is small relative to the target
-(edits/inserts, not the 10^12-row table), so it is broadcast — ``ray.put``
-once, fetched once per rewrite ACTOR (not per batch) — and the anti-join is
-a vectorized ``pc.is_in`` per file. For sources above
-``config.merge_broadcast_max_rows`` the same plan degrades gracefully:
-partition the source by the target's hash partitioning (driver-side column
-hash, no shuffle of the big side ever) and ship each rewrite unit only its
-partition's slice via the same object-store reference.
+(edits/inserts, not the 10^12-row table), so it is split by the target's
+partitioning on the driver and broadcast as one object-store ref per
+partition; each rewrite task fetches only its own partitions' keys and
+upserts and drops matched rows with an Acero hash left-anti join on
+(conv_id, turn_idx). Sources above ``config.merge_broadcast_max_rows`` are
+merged in conv_id-range chunks (``merge_chunked``), one commit each.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..state import lineage
+from ..state import lineage, manifest
 from ..table import Table
 from . import rewrite
 
@@ -93,7 +91,11 @@ def merge(
     """
     import ray
 
-    tbl_schema = table.schema()
+    # pin the parent first: the schema, partition spec and files all come
+    # from this one snapshot read
+    parent = table.current_snapshot_id()
+    ents, meta = table.snapshot(parent)
+    tbl_schema = meta["schema"]
     missing = [c for c in tbl_schema.names + ["op"] if c not in source.schema.names]
     if missing:
         raise ValueError(f"MERGE source lacks target column(s) {missing}")
@@ -108,13 +110,11 @@ def merge(
         return merge_chunked(
             table, source, concurrency=concurrency, use_actor=use_actor
         )
-    parent = table.current_snapshot_id()
-    ents = table.entries(parent)
-    by_path = {r["path"]: r for r in ents.to_pylist()}
+    by_path = {r["path"]: r for r in ents.select(["path", "rows", "bytes"]).to_pylist()}
 
     # split source rows by target partition (driver-side: source is small;
     # int partition codes keep the sort/slice fully vectorized)
-    src_codes, part_names = table.partition_codes(source)
+    src_codes, part_names = table.partition_codes(source, meta["partition_spec"])
     part_order = np.argsort(src_codes, kind="stable")
     src_sorted = source.take(pa.array(part_order))
     sp = src_codes[part_order]
@@ -154,21 +154,21 @@ def merge(
     removed: list[str] = []
     params = _source_hash(source)
     bin_cap = max(table.config.target_file_bytes, 1)
-    files_by_part: dict[str, list[dict]] = {}
-    for r in by_path.values():
-        files_by_part.setdefault(r["partition"], []).append(r)
-    for part, (lo, hi) in sorted(conv_ranges.items()):
-        touched = []
-        for r in files_by_part.get(part, ()):
-            st = json.loads(r["stats"]) if r["stats"] else {}
-            cs = st.get("conv_id") or {}
-            cmin, cmax = cs.get("min"), cs.get("max")
-            if cmin is not None and cmin > hi:
-                continue
-            if cmax is not None and cmax < lo:
-                continue
-            touched.append(r["path"])
-        touched.sort()
+    parts = sorted(conv_ranges)
+    # each file against its own partition's source key range (null for a
+    # partition without source keys: untouched)
+    at = pc.index_in(ents["partition"], value_set=pa.array(parts, pa.string()))
+    lo, hi = (
+        pc.take(pa.array([conv_ranges[p][i] for p in parts], pa.string()), at) for i in (0, 1)
+    )
+    hit = pc.and_(pc.is_valid(at), manifest.may_overlap(ents, "conv_id", lo, hi))
+    touched_by_part: dict[str, list[str]] = {}
+    for part, path in zip(
+        ents["partition"].filter(hit).to_pylist(), ents["path"].filter(hit).to_pylist()
+    ):
+        touched_by_part.setdefault(part, []).append(path)
+    for part in parts:
+        touched = sorted(touched_by_part.get(part, ()))
         removed.extend(touched)
         if not touched:
             unit = rewrite.make_bin([], part, by_path, params=params)
@@ -199,6 +199,8 @@ def merge(
         units,
         job_id,
         concurrency=concurrency,
+        schema=tbl_schema,
+        stats_cols=manifest.stats_cols(meta),
         sort_mode="key",
         sort_key=["conv_id", "turn_idx"],
         extra_rows_ref=ex_ref,

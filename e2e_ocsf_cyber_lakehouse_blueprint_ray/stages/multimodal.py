@@ -2,16 +2,12 @@
 
 Media are opaque ``binary`` columns with typed metadata; decode /
 feature-extract / resize / frame-sample run as actor-pool ``map_batches``
-stages (model/codec loaded once per actor in ``__init__``). The image/audio
-codecs are NOT in this container, so each stage gates its real path behind
-an import-try at actor ``__init__``: ``use_real_codec=True`` demands the
-codec (raises ``NotImplementedError`` when absent — clearly-marked stub),
-``"auto"`` uses it when importable and silently falls back, and the default
-``False`` runs a deterministic fake path (documented header format below)
-that keeps the Ray-side plumbing — schema, batch sizing, actor signature,
-output layout — real and testable in the sandbox. When PIL / soundfile ARE
-installed the real branches decode/resize/feature-extract actual media
-bytes with the same output schema.
+stages (model/codec state loaded once per actor in ``__init__``). The
+stages decode a deterministic payload format (documented below) rather than
+real image/audio codecs, which keeps the Ray-side plumbing — schema, batch
+sizing, actor signature, output layout — real and checkable against the
+DuckDB oracle. A real codec slots into each stage's ``_decode``/``_resize``
+with the same output schema.
 
 Fake payload format (synthesize_payloads): ``b"IMG1" + width:uint16_le +
 height:uint16_le + pixel_bytes`` where pixel_bytes are derived from the
@@ -54,61 +50,14 @@ def synthesize_payloads(batch: pa.Table, *, id_col: str = "doc_id", text_col: st
     )
 
 
-def _gate_codec(use_real_codec, import_fn, what: str):
-    """Resolve the per-actor codec gate: True demands the codec (raises
-    ``NotImplementedError`` when the import fails), ``"auto"`` returns it
-    when importable else ``None``, False returns ``None`` (fake path)."""
-    if not use_real_codec:
-        return None
-    try:
-        return import_fn()
-    except ImportError as e:
-        if use_real_codec == "auto":
-            return None
-        raise NotImplementedError(
-            f"real {what} path needs a codec that is not installed; "
-            "use the deterministic fake path (use_real_codec=False) or 'auto'"
-        ) from e
-
-
-def _import_pil():
-    import PIL.Image
-
-    return PIL.Image
-
-
-def _import_soundfile():
-    import soundfile
-
-    return soundfile
-
-
 class ImageDecoder:
     """Actor-pool stage: payload → (width, height, mean_byte, hist8 feature).
 
-    ``use_real_codec=True`` requires PIL (absent in this container →
-    ``NotImplementedError``); with PIL installed the real branch decodes the
-    payload bytes (PNG/JPEG/…), converts to 8-bit grayscale, and emits the
-    same (width, height, mean_byte, hist8) row. ``"auto"`` falls back to the
-    fake path when PIL is missing; the default fake path parses the
-    documented IMG1 header deterministically.
+    The payload's IMG1 header gives the dims; the body is the pixel stream.
     """
-
-    def __init__(self, *, use_real_codec: bool | str = False):
-        self.real = _gate_codec(use_real_codec, _import_pil, "image decode")
 
     def _decode(self, p: bytes):
         """→ (width, height, uint8 pixel stream) or None for undecodable."""
-        if self.real is not None:  # real codec branch (PIL present)
-            import io
-
-            try:
-                with self.real.open(io.BytesIO(p)) as im:
-                    w, h = im.size
-                    px = np.asarray(im.convert("L"), dtype=np.uint8).ravel()
-                return w, h, px
-            except Exception:
-                return None
         if len(p) < 8 or p[:4] != b"IMG1":
             return None
         w = int.from_bytes(p[4:6], "little")
@@ -142,34 +91,19 @@ class AudioFeatureExtractor:
     """Audio-analog actor-pool stage: payload → (sample_rate, duration_s,
     rms, band_energy[8]) — an MFCC-ish fixed-width feature row per clip.
 
-    ``use_real_codec=True`` requires soundfile (absent in this container →
-    ``NotImplementedError``); with soundfile installed the real branch
-    decodes the payload bytes (WAV/FLAC/OGG/…), mixes to mono, and computes
-    the same (sample_rate, duration_s, rms, band_energy) row. ``"auto"``
-    falls back when the codec is missing. The default fake path treats the
-    payload body as deterministic int8 PCM at a fake 16 kHz rate, and the
-    feature math (RMS + 8-band energy via a strided fold — a stand-in for a
-    mel filterbank) is real vectorized numpy, so schema / batch-size /
-    actor-pool plumbing are fully exercised.
+    The payload body is read as deterministic int8 PCM at a fixed 16 kHz
+    rate, and the feature math (RMS + 8-band energy via a strided fold — a
+    stand-in for a mel filterbank) is real vectorized numpy, so schema /
+    batch-size / actor-pool plumbing are fully exercised.
     """
 
     FAKE_RATE = 16_000
 
-    def __init__(self, *, use_real_codec: bool | str = False, n_bands: int = 8):
+    def __init__(self, *, n_bands: int = 8):
         self.n_bands = n_bands
-        self.real = _gate_codec(use_real_codec, _import_soundfile, "audio decode")
 
     def _decode(self, p: bytes):
         """→ (float64 mono pcm in [-1, 1], rate) or None for undecodable."""
-        if self.real is not None:  # real codec branch (soundfile present)
-            import io
-
-            try:
-                data, rate = self.real.read(io.BytesIO(p), dtype="float64")
-            except Exception:
-                return None
-            pcm = data.mean(axis=1) if getattr(data, "ndim", 1) > 1 else data
-            return pcm, int(rate)
         body = p[8:]
         if not body:
             return None
@@ -204,41 +138,21 @@ class AudioFeatureExtractor:
 class ImageResizer:
     """Actor-pool resize stage: payload → resized payload + dims.
 
-    ``use_real_codec=True`` requires PIL (absent in this container →
-    ``NotImplementedError``); with PIL installed the real branch decodes the
-    payload, downsamples to at most ``target_w × target_h`` (aspect-free cap
-    per axis, matching the fake path's contract), re-encodes as PNG, and
-    emits the same output schema. ``"auto"`` falls back when PIL is missing.
-    The default fake path does a REAL deterministic nearest-neighbor
-    resample: the payload body is treated as the flattened pixel stream and
-    sampled at ``target_w × target_h`` evenly-spaced indices (vectorized
-    numpy take), emitting a new IMG1 payload — so batch sizing, payload
-    lifecycle (input payload dropped, smaller output payload carried) and
-    actor-pool plumbing are exercised end to end. Output dims are capped at
-    the original dims (downsample-only), matching the oracle's
-    ``least(width, target)``.
+    A deterministic nearest-neighbor resample: the payload body is treated
+    as the flattened pixel stream and sampled at ``target_w × target_h``
+    evenly-spaced indices (vectorized numpy take), emitting a new IMG1
+    payload — so batch sizing, payload lifecycle (input payload dropped,
+    smaller output payload carried) and actor-pool plumbing are exercised
+    end to end. Output dims are capped at the original dims
+    (downsample-only), matching the oracle's ``least(width, target)``.
     """
 
-    def __init__(self, *, target_w: int = 32, target_h: int = 32,
-                 use_real_codec: bool | str = False):
+    def __init__(self, *, target_w: int = 32, target_h: int = 32):
         self.tw = int(target_w)
         self.th = int(target_h)
-        self.real = _gate_codec(use_real_codec, _import_pil, "image resize")
 
     def _resize(self, p: bytes):
         """→ (w, h, out_w, out_h, payload bytes) or None for undecodable."""
-        if self.real is not None:  # real codec branch (PIL present)
-            import io
-
-            try:
-                with self.real.open(io.BytesIO(p)) as im:
-                    w, h = im.size
-                    rw, rh = min(self.tw, w), min(self.th, h)
-                    buf = io.BytesIO()
-                    im.resize((rw, rh)).save(buf, format="PNG")
-                return w, h, rw, rh, buf.getvalue()
-            except Exception:
-                return None
         if len(p) < 8 or p[:4] != b"IMG1":
             return None
         w = int.from_bytes(p[4:6], "little")

@@ -39,7 +39,7 @@ from ..config import EngineConfig
 from ..hashing import curve_key, hash64_column
 from ..state import lineage, manifest
 from ..state.manifest import ENTRY_SCHEMA
-from ..table import Table
+from ..table import Table, align_to
 
 BIN_FIELDS = ["unit_id", "partition", "inputs_json", "in_rows", "in_bytes"]
 
@@ -89,6 +89,10 @@ class FailInjected(RuntimeError):
 class BinRewriter:
     """Actor-pool callable: one bin descriptor row in → manifest entries out.
 
+    ``schema`` / ``stats_cols``: the job's snapshot schema (inputs are
+    aligned to it) and the stats columns of the files it writes, resolved
+    once on the driver so no task re-reads the snapshot.
+
     ``sort_mode``:
       "key"     — sort rows by ``sort_key`` (compaction, merge)
       "zorder"  — compute curve key from (conv_id, ts), sort by it, drop it
@@ -108,6 +112,8 @@ class BinRewriter:
         config: EngineConfig,
         job_id: str,
         *,
+        schema: pa.Schema,
+        stats_cols: list[str],
         sort_mode: str = "key",
         sort_key: list[str] | None = None,
         curve: str | None = None,
@@ -134,9 +140,9 @@ class BinRewriter:
         #: (col, lo, hi): drop rows with lo <= col <= hi (DELETE WHERE rewrite;
         #: timestamps compare as int64 µs, matching manifest stats)
         self.delete_range = delete_range
-        self.stats_cols = self.table.stats_cols() or None
+        self.schema = schema
+        self.stats_cols = stats_cols
         self.fail_after = fail_after
-        self.done = 0
         #: per-__call__ cache of prefetched broadcast payloads; lives only
         #: for one batch so a long-lived actor never accumulates every
         #: touched partition's payload in its heap (round-4 advice)
@@ -145,30 +151,12 @@ class BinRewriter:
     # -- helpers ---------------------------------------------------------
 
     def _read_inputs(self, inputs: list[str]) -> pa.Table | None:
-        tabs = [pq.read_table(os.path.join(self.table.dir, p)) for p in inputs]
-        if not tabs:
+        if not inputs:
             return None
-        target = self.table.schema()
-        aligned = []
-        for t in tabs:
-            if t.schema.equals(target):
-                aligned.append(t)
-                continue
-            # pre-evolution file (mergeSchema analog): null-fill columns the
-            # snapshot schema added since this file was written
-            aligned.append(
-                pa.table(
-                    {
-                        f.name: (
-                            t[f.name].cast(f.type)
-                            if f.name in t.schema.names
-                            else pa.nulls(t.num_rows, f.type)
-                        )
-                        for f in target
-                    }
-                )
-            )
-        return pa.concat_tables(aligned).combine_chunks()
+        return pa.concat_tables(
+            align_to(pq.read_table(os.path.join(self.table.dir, p)), self.schema)
+            for p in inputs
+        ).combine_chunks()
 
     def _apply_merge(
         self, t: pa.Table | None, partition: str, apply_extra: bool = True
@@ -260,17 +248,16 @@ class BinRewriter:
 
     # -- per-bin work ----------------------------------------------------
 
-    def _do_unit(self, unit: dict) -> list[dict]:
+    def _do_unit(self, unit: dict) -> pa.Table:
         uid = unit["unit_id"]
         cached = lineage.load_unit(self.table.dir, self.job_id, uid)
         if cached is not None:
-            return cached["entries"] + cached.get("changes", [])
+            return cached
         if self.fail_after is not None:
             # count DURABLE completed units (lineage records), not per-instance
             # state: rewriters are rebuilt per task, but the crash the tests
             # simulate must land after N units job-wide.
-            jd = os.path.join(self.table.dir, lineage.LINEAGE_DIR, self.job_id)
-            done_ct = len([f for f in os.listdir(jd) if f.endswith(".json")]) if os.path.isdir(jd) else 0
+            done_ct = lineage.units_done(self.table.dir, self.job_id)
             if done_ct >= self.fail_after:
                 raise FailInjected(f"injected failure after {done_ct} units")
         inputs = json.loads(unit["inputs_json"])
@@ -289,14 +276,13 @@ class BinRewriter:
             t = t.filter(pc.invert(hit))
         # the unit's change file: written before the lineage record, which
         # names it, so a resumed job commits the same change record
-        changes = []
+        entries: list[dict] = []
         if changed:
-            changes.append(
+            entries.append(
                 self.table.write_change_file(
                     pa.concat_tables(changed), partition, f"{uid}-cdf.parquet"
                 )
             )
-        entries: list[dict] = []
         if t is not None and t.num_rows:
             t = self._sorted(t)
             rpf = self._split_rows(int(unit["in_rows"]), int(unit["in_bytes"]), t.num_rows)
@@ -307,20 +293,15 @@ class BinRewriter:
                     self.table.write_file(sl, partition, f"{uid}-{k:04d}.parquet", self.stats_cols)
                 )
                 k += 1
+        out = pa.Table.from_pylist(entries, schema=ENTRY_SCHEMA)
         lineage.save_unit(
             self.table.dir,
             self.job_id,
             uid,
-            {
-                "partition": partition,
-                "inputs": inputs,
-                "input_rows": int(unit["in_rows"]),
-                "entries": entries,
-                "changes": changes,
-            },
+            {"partition": partition, "inputs": inputs, "input_rows": int(unit["in_rows"])},
+            out,
         )
-        self.done += 1
-        return entries + changes
+        return out
 
     def _prefetch_refs(self, units: list[dict]) -> None:
         """Resolve this batch's broadcast slices (delete keys / upsert rows)
@@ -350,14 +331,11 @@ class BinRewriter:
         if self.delete_keys or self.extra:
             self._prefetch_refs(units)
         try:
-            out: list[dict] = []
-            for unit in units:
-                out.extend(self._do_unit(unit))
+            return pa.concat_tables(
+                [ENTRY_SCHEMA.empty_table()] + [self._do_unit(u) for u in units]
+            )
         finally:
             self._resolved.clear()
-        if not out:
-            return ENTRY_SCHEMA.empty_table()
-        return pa.Table.from_pylist(out, schema=ENTRY_SCHEMA)
 
 
 def run_bins(
@@ -370,13 +348,16 @@ def run_bins(
 ) -> pa.Table:
     """Execute bins as stateless tasks; returns the new manifest entries.
 
+    ``rewriter_kw`` go to ``BinRewriter``, including the job's ``schema``
+    and ``stats_cols`` from the caller's snapshot read.
+
     ``from_items`` puts one bin per block, so each bin is one task —
     straggler-friendly scheduling with NO actor-pool spin-up on the critical
     path (a fresh 32-actor pool costs ~3 s; a maintenance run has several
     rewrite stages, and tasks reuse Ray's warm workers across them). The
-    rewriter object is rebuilt per task — its init is a manifest-pointer
-    read plus zero-copy ``ray.get`` of the broadcast refs, microseconds
-    against a multi-MB file rewrite.
+    rewriter object is rebuilt per task — its init is a zero-copy
+    ``ray.get`` of the broadcast refs, microseconds against a multi-MB file
+    rewrite.
     """
     import ray.data as rd
 

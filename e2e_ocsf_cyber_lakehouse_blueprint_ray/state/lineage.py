@@ -5,12 +5,15 @@ Analog of the reference's Auto Loader + SDP checkpoints
 utilities/utils.py:23-27; "SDP handles checkpointing"
 _resources/PIPELINE_OVERVIEW.md:165): every maintenance/ingest job records,
 per work unit (a compaction bin, a clustered partition, a merged partition,
-an ingested input file), the input files, output files, row counts and stats
-— atomically, BEFORE the commit — so a killed job resumes idempotently: a
-re-run with the same deterministic ``job_id`` sees the unit record, verifies
-the outputs exist, and skips the work.
+an ingested input file), the input files and the output files' manifest
+entries (rows, bytes, stats) — atomically, BEFORE the commit — so a killed
+job resumes idempotently: a re-run with the same deterministic ``job_id``
+sees the unit record, verifies the outputs exist, and skips the work.
 
-Layout:  <table>/_lineage/<job_id>/<unit_id>.json   (atomic tmp+rename)
+Layout:  <table>/_lineage/<job_id>/<unit_id>.arrow  (atomic tmp+rename):
+             the unit's output entries (manifest ENTRY_SCHEMA, data and
+             change files) as an Arrow IPC file, the rest of the record as
+             JSON in its schema metadata
          <table>/_lineage/log/lineage-<snapshot>.parquet   (committed log)
 """
 
@@ -22,9 +25,14 @@ import os
 import time
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from .manifest import CHANGE_DIR, ENTRY_SCHEMA
+
 LINEAGE_DIR = "_lineage"
+_UNIT = ".arrow"
+_RECORD = b"lineage.record"
 
 LOG_SCHEMA = pa.schema(
     [
@@ -61,48 +69,65 @@ def _jdir(table_dir: str, job_id: str) -> str:
     return os.path.join(table_dir, LINEAGE_DIR, job_id)
 
 
-def save_unit(table_dir: str, job_id: str, uid: str, record: dict) -> None:
+def save_unit(
+    table_dir: str, job_id: str, uid: str, record: dict, entries: pa.Table | None = None
+) -> None:
+    """Write a unit record: ``record`` (partition, inputs, input_rows) plus
+    the unit's output manifest ``entries``."""
     d = _jdir(table_dir, job_id)
     os.makedirs(d, exist_ok=True)
-    final = os.path.join(d, f"{uid}.json")
+    t = entries if entries is not None else ENTRY_SCHEMA.empty_table()
+    t = t.replace_schema_metadata({_RECORD: json.dumps(record, sort_keys=True)})
+    final = os.path.join(d, uid + _UNIT)
     tmp = final + f".tmp.{os.getpid()}.{time.monotonic_ns()}"
-    with open(tmp, "w") as f:
-        json.dump(record, f, sort_keys=True)
+    with pa.OSFile(tmp, "wb") as sink, pa.ipc.new_file(sink, t.schema) as w:
+        w.write_table(t)
     os.replace(tmp, final)
 
 
-def load_unit(table_dir: str, job_id: str, uid: str) -> dict | None:
-    """Unit record if present AND all its output files still exist."""
-    p = os.path.join(_jdir(table_dir, job_id), f"{uid}.json")
+def _read_unit(path: str) -> tuple[dict, pa.Table]:
+    with pa.OSFile(path, "rb") as src:
+        t = pa.ipc.open_file(src).read_all()
+    return json.loads(t.schema.metadata[_RECORD]), t.replace_schema_metadata(None)
+
+
+def _unit_paths(table_dir: str, job_id: str) -> list[str]:
+    d = _jdir(table_dir, job_id)
+    names = sorted(os.listdir(d)) if os.path.isdir(d) else []
+    return [os.path.join(d, f) for f in names if f.endswith(_UNIT)]
+
+
+def units_done(table_dir: str, job_id: str) -> int:
+    """How many of the job's units have a durable record."""
+    return len(_unit_paths(table_dir, job_id))
+
+
+def load_unit(table_dir: str, job_id: str, uid: str) -> pa.Table | None:
+    """A unit's output entries if its record is present AND all its output
+    files still exist."""
     try:
-        with open(p) as f:
-            rec = json.load(f)
+        _, ents = _read_unit(os.path.join(_jdir(table_dir, job_id), uid + _UNIT))
     except FileNotFoundError:
         return None
-    for e in rec.get("entries", []) + rec.get("changes", []):
-        if not os.path.exists(os.path.join(table_dir, e["path"])):
-            return None
-    return rec
+    if all(os.path.exists(os.path.join(table_dir, p)) for p in ents["path"].to_pylist()):
+        return ents
+    return None
 
 
 def finalize_job(table_dir: str, job_id: str, snapshot_id: int) -> None:
     """Compile the job's unit records into the committed lineage log."""
-    d = _jdir(table_dir, job_id)
     rows = {k: [] for k in LOG_SCHEMA.names}
-    if os.path.isdir(d):
-        for f in sorted(os.listdir(d)):
-            if not f.endswith(".json"):
-                continue
-            with open(os.path.join(d, f)) as fh:
-                rec = json.load(fh)
-            rows["snapshot_id"].append(snapshot_id)
-            rows["job_id"].append(job_id)
-            rows["unit_id"].append(f[:-5])
-            rows["partition"].append(rec.get("partition", ""))
-            rows["input_files"].append(rec.get("inputs", []))
-            rows["output_files"].append([e["path"] for e in rec.get("entries", [])])
-            rows["input_rows"].append(int(rec.get("input_rows", 0)))
-            rows["output_rows"].append(int(sum(e["rows"] for e in rec.get("entries", []))))
+    for path in _unit_paths(table_dir, job_id):
+        rec, ents = _read_unit(path)
+        data = ents.filter(pc.invert(pc.starts_with(ents["path"], CHANGE_DIR + "/")))
+        rows["snapshot_id"].append(snapshot_id)
+        rows["job_id"].append(job_id)
+        rows["unit_id"].append(os.path.basename(path)[: -len(_UNIT)])
+        rows["partition"].append(rec.get("partition", ""))
+        rows["input_files"].append(rec.get("inputs", []))
+        rows["output_files"].append(data["path"].to_pylist())
+        rows["input_rows"].append(int(rec.get("input_rows", 0)))
+        rows["output_rows"].append(int(pc.sum(data["rows"]).as_py() or 0))
     log_dir = os.path.join(table_dir, LINEAGE_DIR, "log")
     os.makedirs(log_dir, exist_ok=True)
     out = os.path.join(log_dir, f"lineage-{snapshot_id:08d}-{job_id}.parquet")

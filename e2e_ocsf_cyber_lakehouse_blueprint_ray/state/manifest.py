@@ -7,7 +7,9 @@ dodge first-write metadata races pre_setup_ocsf_tables.py:103-107), designed
 after the Delta Lake VLDB'20 protocol concepts but implemented fresh:
 
     <table>/_manifest/snap-<N>.parquet   one row per live data file:
-        path, partition, rows, bytes, stats (JSON: per-column min/max/nulls)
+        path, partition, rows, bytes, stats (typed: per-column
+        min/max/nulls and a bloom, the ``stats_parsed`` form of a Delta
+        checkpoint)
     <table>/_manifest/CURRENT            text pointer, swapped atomically
 
 Snapshot files are created EXCLUSIVELY (write tmp + os.link) so concurrent
@@ -15,6 +17,12 @@ committers conflict on snapshot-id allocation instead of corrupting state;
 the pointer swap is ``os.replace`` (atomic on POSIX). Readers pin a snapshot
 id → snapshot isolation; expiry deletes files unreferenced by retained
 snapshots (stages/expire.py).
+
+This module owns the stats layout: writers build it with ``compute_stats``
+and every reader goes through ``col_stats`` (``col_bounds``,
+``may_overlap`` and ``bloom_may_contain`` build on it), so pruning,
+MERGE/DELETE file planning and clustering ranges are Arrow compute over
+whole columns, never a per-file decode.
 """
 
 from __future__ import annotations
@@ -24,9 +32,39 @@ import json
 import os
 import time
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+
+#: bloom-filter parameters for string stats columns (Delta bloom-index
+#: analog): m bits / k probes, only built when the file's distinct count
+#: stays under BLOOM_MAX_DISTINCT (load ≤ ~0.25 → fpr ≈ 2-7%). Hashing is
+#: the engine's stable blake2b hash64, split into two 32-bit halves for
+#: double hashing — writer/reader must agree forever, so these are
+#: protocol constants, not config.
+BLOOM_BITS = 4096
+BLOOM_K = 3
+BLOOM_MAX_DISTINCT = 4096
+
+#: one column's stats in one file. Integers, booleans, dates and timestamps
+#: are int64 ``min_i``/``max_i`` (dates in days, timestamps in their unit,
+#: µs for the engine's tables); floats are ``min_f``/``max_f``; strings are
+#: ``min_s``/``max_s``, cut to ``_STR_TRUNC`` chars (``max_s`` is null when
+#: no cut bound exists), plus the raw bits of a bloom of the file's distinct
+#: values when there are few enough. A null bound means "unknown".
+COL_STATS = pa.struct(
+    [
+        ("nulls", pa.int64()),
+        ("min_i", pa.int64()),
+        ("max_i", pa.int64()),
+        ("min_f", pa.float64()),
+        ("max_f", pa.float64()),
+        ("min_s", pa.string()),
+        ("max_s", pa.string()),
+        ("bloom", pa.binary(BLOOM_BITS // 8)),
+    ]
+)
 
 ENTRY_SCHEMA = pa.schema(
     [
@@ -34,7 +72,7 @@ ENTRY_SCHEMA = pa.schema(
         ("partition", pa.string()),   # e.g. "part-3", "" when unpartitioned
         ("rows", pa.int64()),
         ("bytes", pa.int64()),
-        ("stats", pa.string()),       # JSON {col: {"min":v,"max":v,"nulls":n}}
+        ("stats", pa.map_(pa.string(), COL_STATS)),  # column -> COL_STATS
     ]
 )
 
@@ -56,22 +94,28 @@ def empty_entries() -> pa.Table:
     return ENTRY_SCHEMA.empty_table()
 
 
-# -- per-file column statistics ---------------------------------------------
+# -- per-file column statistics: the writer ---------------------------------
 
-def _plain(v):
-    """JSON-safe scalar from an Arrow scalar."""
-    if v is None:
-        return None
-    if isinstance(v, pa.Scalar):
-        if not v.is_valid:
-            return None
-        t = v.type
-        if pa.types.is_timestamp(t):
-            return v.cast(pa.int64()).as_py()  # store timestamps as int us
-        if pa.types.is_date(t):
-            return v.cast(pa.int32()).as_py()
-        return v.as_py()
-    return v
+def _kind(t: pa.DataType) -> str | None:
+    """COL_STATS field suffix a column's bounds live in (None: no stats)."""
+    if pa.types.is_string(t):
+        return "s"
+    if pa.types.is_floating(t):
+        return "f"
+    if (
+        pa.types.is_integer(t)
+        or pa.types.is_boolean(t)
+        or pa.types.is_timestamp(t)
+        or pa.types.is_date(t)
+    ):
+        return "i"
+    return None
+
+
+def _int_bound(v: pa.Scalar) -> int:
+    if pa.types.is_date(v.type):
+        v = v.cast(pa.int32())  # days
+    return v.cast(pa.int64()).as_py()
 
 
 def truncate_min(s: str) -> str:
@@ -84,101 +128,64 @@ def truncate_max(s: str) -> str | None:
         return s
     t = s[:_STR_TRUNC]
     for i in range(len(t) - 1, -1, -1):
-        c = ord(t[i])
-        if c < 0x10FFFF:
-            return t[:i] + chr(c + 1)
+        c = ord(t[i]) + 1
+        if c == 0xD800:  # surrogates are not valid UTF-8: bump past them
+            c = 0xE000
+        if c <= 0x10FFFF:
+            return t[:i] + chr(c)
     return None  # unbounded
 
 
-#: bloom-filter parameters for string stats columns (Delta bloom-index
-#: analog): m bits / k probes, only built when the file's distinct count
-#: stays under BLOOM_MAX_DISTINCT (load ≤ ~0.25 → fpr ≈ 2-7%). Hashing is
-#: the engine's stable blake2b hash64, split into two 32-bit halves for
-#: double hashing — writer/reader must agree forever, so these are
-#: protocol constants, not config.
-BLOOM_BITS = 4096
-BLOOM_K = 3
-BLOOM_MAX_DISTINCT = 4096
+def _bloom_positions(hs: np.ndarray) -> np.ndarray:
+    """(len(hs), BLOOM_K) bit positions of uint64 hashes by double hashing
+    (h1 + i*h2 stays < 2^34, so there is no wrap)."""
+    h1 = hs & np.uint64(0xFFFFFFFF)
+    h2 = (hs >> np.uint64(32)) | np.uint64(1)
+    ks = np.arange(BLOOM_K, dtype=np.uint64)
+    pos = (h1[:, None] + ks[None, :] * h2[:, None]) % np.uint64(BLOOM_BITS)
+    return pos.astype(np.int64)
 
 
-def _bloom_positions(value: str) -> list[int]:
+def bloom_build(values: list[str]) -> bytes:
+    """Bloom bits of distinct string values (None values are skipped)."""
     from ..hashing import hash64_str
 
-    h = hash64_str(value)
-    h1, h2 = h & 0xFFFFFFFF, (h >> 32) | 1
-    return [(h1 + i * h2) % BLOOM_BITS for i in range(BLOOM_K)]
-
-
-def bloom_build(values) -> str | None:
-    """base64 bloom of the distinct string values, or None if too many.
-    Bit positions are computed with vectorized numpy double-hashing —
-    bit-identical to _bloom_positions (h1 + i*h2 stays < 2^34, no wrap)."""
-    import numpy as np
-
-    from ..hashing import hash64_str
-
-    if len(values) > BLOOM_MAX_DISTINCT:
-        return None
     bits = np.zeros(BLOOM_BITS // 8, dtype=np.uint8)
-    hs = np.fromiter(
-        (hash64_str(v) for v in values if v is not None), dtype=np.uint64
-    )
-    if len(hs):
-        h1 = hs & np.uint64(0xFFFFFFFF)
-        h2 = (hs >> np.uint64(32)) | np.uint64(1)
-        ks = np.arange(BLOOM_K, dtype=np.uint64)
-        pos = ((h1[:, None] + ks[None, :] * h2[:, None]) % np.uint64(BLOOM_BITS)).reshape(-1)
-        p = pos.astype(np.int64)
-        np.bitwise_or.at(bits, p >> 3, (np.uint8(1) << (p & 7).astype(np.uint8)))
-    return base64.b64encode(bits.tobytes()).decode()
-
-
-def bloom_may_contain(b64: str, value: str) -> bool:
-    bits = base64.b64decode(b64)
-    return all(bits[p >> 3] & (1 << (p & 7)) for p in _bloom_positions(value))
+    hs = np.fromiter((hash64_str(v) for v in values if v is not None), dtype=np.uint64)
+    p = _bloom_positions(hs).reshape(-1)
+    np.bitwise_or.at(bits, p >> 3, (np.uint8(1) << (p & 7).astype(np.uint8)))
+    return bits.tobytes()
 
 
 def compute_stats(table: pa.Table, cols: list[str] | None = None) -> dict:
-    """min/max/null-count per (primitive) column — Delta file-stats analog.
-    String stats columns additionally carry a small bloom filter of the
-    file's distinct values (when bounded), so EQUALITY predicates can skip
-    files whose [min, max] range overlaps but which don't hold the key —
-    the pre-clustering case where every file spans a wide key range."""
+    """``{column: COL_STATS fields}`` for the entry's ``stats`` map — Delta
+    file-stats analog; ``cols`` empty or None means every column. String
+    columns also carry a small bloom of the file's distinct values (when
+    bounded), so EQUALITY predicates can skip files whose [min, max] range
+    overlaps but which don't hold the key — the pre-clustering case where
+    every file spans a wide key range."""
     out = {}
-    names = cols if cols is not None else table.schema.names
-    for name in names:
+    for name in cols or table.schema.names:
         if name not in table.schema.names:
             continue
         col = table[name]
-        t = col.type
-        if not (
-            pa.types.is_integer(t)
-            or pa.types.is_floating(t)
-            or pa.types.is_string(t)
-            or pa.types.is_timestamp(t)
-            or pa.types.is_date(t)
-            or pa.types.is_boolean(t)
-        ):
+        kind = _kind(col.type)
+        if kind is None:
             continue
-        nulls = col.null_count
-        if len(col) == nulls:
-            out[name] = {"min": None, "max": None, "nulls": nulls}
+        cs = out[name] = {"nulls": col.null_count}
+        if col.null_count == len(col):
             continue
         mm = pc.min_max(col)
-        lo, hi = _plain(mm["min"]), _plain(mm["max"])
-        if isinstance(lo, str):
-            lo = truncate_min(lo)
-        if isinstance(hi, str):
-            hi = truncate_max(hi)
-        out[name] = {"min": lo, "max": hi, "nulls": nulls}
-        if pa.types.is_string(t):
-            uniq = pc.unique(
-                col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-            )
-            if len(uniq) <= BLOOM_MAX_DISTINCT:  # skip to_pylist when over
-                bloom = bloom_build(uniq.to_pylist())
-                if bloom is not None:
-                    out[name]["bloom"] = bloom
+        if kind == "i":
+            cs["min_i"], cs["max_i"] = _int_bound(mm["min"]), _int_bound(mm["max"])
+        elif kind == "f":
+            cs["min_f"], cs["max_f"] = mm["min"].as_py(), mm["max"].as_py()
+        else:
+            cs["min_s"] = truncate_min(mm["min"].as_py())
+            cs["max_s"] = truncate_max(mm["max"].as_py())
+            uniq = pc.unique(col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col)
+            if len(uniq) <= BLOOM_MAX_DISTINCT:
+                cs["bloom"] = bloom_build(uniq.to_pylist())
     return out
 
 
@@ -188,46 +195,84 @@ def entry_for(path: str, partition: str, table: pa.Table, nbytes: int, stats_col
         "partition": partition,
         "rows": table.num_rows,
         "bytes": nbytes,
-        "stats": json.dumps(compute_stats(table, stats_cols), sort_keys=True),
+        "stats": compute_stats(table, stats_cols),
     }
+
+
+# -- per-file column statistics: the reader ---------------------------------
+
+def col_stats(entries: pa.Table, col: str) -> dict[str, pa.Array]:
+    """COL_STATS field -> one value per entry (null where the entry has no
+    stats for ``col``): the raw view ``col_bounds`` and ``bloom_may_contain``
+    read."""
+    found = pc.map_lookup(entries["stats"], pa.scalar(col), "first").combine_chunks()
+    # StructArray.flatten folds the struct's own nulls into every field
+    return dict(zip((f.name for f in COL_STATS), found.flatten()))
+
+
+def col_bounds(entries: pa.Table, col: str) -> tuple[pa.Array, pa.Array, pa.Array]:
+    """(lo, hi, nulls) of ``col`` per entry, typed by the column's kind
+    (int64 for ints, bools, dates and timestamps; float64; string), or
+    null-typed when no entry has bounds for it. A null bound is unknown and
+    must be read as unbounded."""
+    f = col_stats(entries, col)
+    for k in "ifs":
+        if f[f"min_{k}"].null_count < len(entries):
+            return f[f"min_{k}"], f[f"max_{k}"], f["nulls"]
+    return pa.nulls(len(entries)), pa.nulls(len(entries)), f["nulls"]
+
+
+def bloom_may_contain(entries: pa.Table, col: str, value: str) -> np.ndarray:
+    """Per entry: False only when its bloom for ``col`` proves ``value``
+    absent. One numpy pass over the bloom bits of every entry."""
+    from ..hashing import hash64_str
+
+    blooms = col_stats(entries, col)["bloom"]
+    out = np.ones(len(blooms), bool)
+    has = blooms.is_valid().to_numpy(zero_copy_only=False)
+    if not has.any():
+        return out
+    b = blooms.filter(pa.array(has))
+    nb = BLOOM_BITS // 8
+    bits = np.frombuffer(
+        b.buffers()[1], np.uint8, count=len(b) * nb, offset=b.offset * nb
+    ).reshape(len(b), nb)
+    pos = _bloom_positions(np.array([hash64_str(value)], np.uint64))[0]
+    masks = np.uint8(1) << (pos & 7).astype(np.uint8)
+    out[has] = ((bits[:, pos >> 3] & masks) != 0).all(axis=1)
+    return out
+
+
+def may_overlap(entries: pa.Table, col: str, lo, hi) -> pa.BooleanArray:
+    """Per entry: whether ``col``'s [min, max] can meet [lo, hi]. ``lo`` /
+    ``hi`` are scalars or per-entry arrays; None or null is unbounded, and
+    so is an unknown stats bound."""
+    cmin, cmax, _ = col_bounds(entries, col)
+    out = pa.array(np.ones(len(entries), bool))
+    for bound, cmp, side in ((lo, pc.greater_equal, cmax), (hi, pc.less_equal, cmin)):
+        if bound is not None:
+            out = pc.and_(out, pc.fill_null(cmp(side, bound), True))
+    return out
 
 
 def prune(entries: pa.Table, predicates: dict[str, tuple] | None) -> pa.Table:
     """Keep entries whose stats ranges may overlap [lo, hi] per column.
 
     ``predicates[col] = (lo, hi)`` with None = unbounded; timestamps as int
-    microseconds. Files with no stats for a column are conservatively kept.
+    microseconds. Unknown bounds (no stats for the column, a string max
+    without a cut bound) keep the file. An equality bound on a string
+    column then probes the surviving files' blooms.
     """
     if not predicates or entries.num_rows == 0:
         return entries
-    keep = []
-    for s in entries["stats"].to_pylist():
-        st = json.loads(s) if s else {}
-        ok = True
-        for col, (lo, hi) in predicates.items():
-            cs = st.get(col)
-            if not cs:
-                continue
-            cmin, cmax = cs.get("min"), cs.get("max")
-            if lo is not None and cmax is not None and cmax < lo:
-                ok = False
-                break
-            if hi is not None and cmin is not None and cmin > hi:
-                ok = False
-                break
-            # equality point lookup: bloom skips files whose range overlaps
-            # but which never contained the key
-            if (
-                lo is not None
-                and lo == hi
-                and isinstance(lo, str)
-                and cs.get("bloom")
-                and not bloom_may_contain(cs["bloom"], lo)
-            ):
-                ok = False
-                break
-        keep.append(ok)
-    return entries.filter(pa.array(keep))
+    keep = pa.array(np.ones(entries.num_rows, bool))
+    for col, (lo, hi) in predicates.items():
+        keep = pc.and_(keep, may_overlap(entries, col, lo, hi))
+    kept = entries.filter(keep)
+    for col, (lo, hi) in predicates.items():
+        if isinstance(lo, str) and lo == hi and kept.num_rows:
+            kept = kept.filter(pa.array(bloom_may_contain(kept, col, lo)))
+    return kept
 
 
 # -- snapshot files ---------------------------------------------------------
@@ -292,6 +337,19 @@ def read_snapshot(table_dir: str, snapshot_id: int) -> tuple[pa.Table, dict]:
     sb = raw.get(b"engine.table_schema")
     meta["schema"] = pa.ipc.read_schema(pa.BufferReader(base64.b64decode(sb))) if sb else None
     return t.replace_schema_metadata(None), meta
+
+
+def stats_cols(meta: dict) -> list[str]:
+    """The stats columns a snapshot's writers compute (``read_snapshot``
+    metadata); empty means every column."""
+    raw = meta.get("engine.x.stats_cols")
+    if raw:
+        try:
+            return json.loads(raw)
+        except ValueError:
+            pass
+    sch = meta["schema"]
+    return list(sch.names) if sch is not None else []
 
 
 def snapshot_extra(table_dir: str, snapshot_id: int) -> dict[str, str]:

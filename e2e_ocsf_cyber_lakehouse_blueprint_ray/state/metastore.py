@@ -42,9 +42,10 @@ class Metastore:
         import pyarrow as pa
 
         from ..table import Table
+        from .manifest import ENTRY_SCHEMA
 
         t = Table(self.table_dir)
-        entries = pa.Table.from_pydict(added) if added else None
+        entries = pa.Table.from_pydict(added, schema=ENTRY_SCHEMA) if added else None
         evolve = (
             pa.ipc.read_schema(pa.BufferReader(evolve_schema_ser))
             if evolve_schema_ser

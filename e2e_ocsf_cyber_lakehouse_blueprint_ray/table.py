@@ -84,6 +84,28 @@ def spec_partition_codes(spec: str, batch: pa.Table) -> tuple[np.ndarray, np.nda
     raise ValueError(f"bad partition spec {spec!r}")
 
 
+def align_to(t: pa.Table, target: pa.Schema) -> pa.Table:
+    """``t`` in the snapshot schema ``target``: a pre-evolution file
+    (mergeSchema analog) null-fills the columns added since it was written
+    and casts widened ones."""
+    if t.schema.equals(target):
+        return t
+    return pa.table(
+        {
+            f.name: (
+                t[f.name].cast(f.type) if f.name in t.schema.names else pa.nulls(t.num_rows, f.type)
+            )
+            for f in target
+        }
+    )
+
+
+def _prune(ents: pa.Table, predicates, partitions) -> pa.Table:
+    if partitions is not None and ents.num_rows:
+        ents = ents.filter(pc.is_in(ents["partition"], value_set=pa.array(partitions)))
+    return manifest.prune(ents, predicates)
+
+
 class Table:
     def __init__(self, table_dir: str, config: cfg.EngineConfig | None = None):
         self.dir = os.path.abspath(table_dir)
@@ -147,15 +169,7 @@ class Table:
         return self.snapshot(snapshot_id)[1]["partition_spec"]
 
     def stats_cols(self, snapshot_id: int | None = None) -> list[str]:
-        meta = self.snapshot(snapshot_id)[1]
-        raw = meta.get("engine.x.stats_cols")
-        if raw:
-            try:
-                return json.loads(raw)
-            except ValueError:
-                pass
-        sch = meta["schema"]
-        return list(sch.names) if sch is not None else []
+        return manifest.stats_cols(self.snapshot(snapshot_id)[1])
 
     def history(self) -> list[dict]:
         """Retained snapshot history, oldest first — the DESCRIBE HISTORY
@@ -211,11 +225,6 @@ class Table:
         spec = spec if spec is not None else self.partition_spec()
         return spec_partition_codes(spec, batch)
 
-    def partition_values(self, batch: pa.Table) -> np.ndarray:
-        """Partition dir name per row (object ndarray of strings)."""
-        codes, names = self.partition_codes(batch)
-        return names[codes]
-
     # -- read path ----------------------------------------------------------
 
     def pruned_entries(
@@ -224,10 +233,19 @@ class Table:
         partitions: list[str] | None = None,
         snapshot_id: int | None = None,
     ) -> pa.Table:
-        ents = self.entries(snapshot_id)
-        if partitions is not None and ents.num_rows:
-            ents = ents.filter(pc.is_in(ents["partition"], value_set=pa.array(partitions)))
-        return manifest.prune(ents, predicates)
+        return _prune(self.entries(snapshot_id), predicates, partitions)
+
+    def _pruned_files(
+        self, predicates, partitions, snapshot_id, columns
+    ) -> tuple[list[str], pa.Schema]:
+        """(sorted absolute paths of the pruned live files, the snapshot
+        schema projected to ``columns``) from ONE snapshot read."""
+        ents, meta = self.snapshot(snapshot_id)
+        ents = _prune(ents, predicates, partitions)
+        sch = meta["schema"]
+        if columns is not None:
+            sch = pa.schema([sch.field(c) for c in columns])
+        return [os.path.join(self.dir, p) for p in sorted(ents["path"].to_pylist())], sch
 
     def scan(
         self,
@@ -243,12 +261,8 @@ class Table:
         (silver_github_audit_logs.py:27-28)."""
         import ray.data as rd
 
-        ents = self.pruned_entries(predicates, partitions, snapshot_id)
-        paths = [os.path.join(self.dir, p) for p in sorted(ents["path"].to_pylist())]
+        paths, sch = self._pruned_files(predicates, partitions, snapshot_id, columns)
         if not paths:
-            sch = self.schema(snapshot_id)
-            if columns:
-                sch = pa.schema([sch.field(c) for c in columns])
             return rd.from_arrow(sch.empty_table())
         # Partition values are manifest metadata here, not hive columns; data
         # dirs deliberately contain no "=" so the reader's hive inference is
@@ -257,19 +271,11 @@ class Table:
         # on full-schema scans.)
         if columns is None:
             read_kwargs.setdefault("partitioning", None)
-            # pin the snapshot schema so evolved columns survive whatever
-            # file the reader samples first: pyarrow.dataset infers from one
-            # fragment, and a pre-evolution fragment would silently DROP
-            # columns newer files carry (pre-evolution files null-fill)
-            read_kwargs.setdefault("schema", self.schema(snapshot_id))
-        else:
-            # projected scans need the pin too: a projection that includes an
-            # evolved column over a mixed-era file set is otherwise at the
-            # mercy of which fragment pyarrow samples first
-            sch = self.schema(snapshot_id)
-            read_kwargs.setdefault(
-                "schema", pa.schema([sch.field(c) for c in columns])
-            )
+        # pin the (projected) snapshot schema so evolved columns survive
+        # whatever file the reader samples first: pyarrow.dataset infers from
+        # one fragment, and a pre-evolution fragment would silently DROP
+        # columns newer files carry (pre-evolution files null-fill)
+        read_kwargs.setdefault("schema", sch)
         return rd.read_parquet(paths, columns=columns, **read_kwargs)
 
     def read_arrow(
@@ -280,33 +286,12 @@ class Table:
         snapshot_id: int | None = None,
     ) -> pa.Table:
         """Driver-side read (tests / small tables only)."""
-        ents = self.pruned_entries(predicates, None, snapshot_id)
-        paths = [os.path.join(self.dir, p) for p in sorted(ents["path"].to_pylist())]
+        paths, target = self._pruned_files(predicates, None, snapshot_id, columns)
         if not paths:
-            sch = self.schema(snapshot_id)
-            return sch.empty_table() if columns is None else pa.schema(
-                [sch.field(c) for c in columns]
-            ).empty_table()
-        tabs = [pq.read_table(p, columns=columns) for p in paths]
-        target = self.schema(snapshot_id)
-        if columns is not None:
-            target = pa.schema([target.field(c) for c in columns])
-        aligned = [
-            t
-            if t.schema.equals(target)
-            else pa.table(
-                {
-                    f.name: (
-                        t[f.name].cast(f.type)
-                        if f.name in t.schema.names
-                        else pa.nulls(t.num_rows, f.type)
-                    )
-                    for f in target
-                }
-            )
-            for t in tabs
-        ]
-        return pa.concat_tables(aligned)
+            return target.empty_table()
+        return pa.concat_tables(
+            align_to(pq.read_table(p, columns=columns), target) for p in paths
+        )
 
     # -- write path ---------------------------------------------------------
 
@@ -316,9 +301,9 @@ class Table:
         """Write one data file (atomic) and return its manifest entry."""
         rel = os.path.join("data", partition, name) if partition else os.path.join("data", name)
         nbytes = _write_parquet_atomic(batch, os.path.join(self.dir, rel))
-        return manifest.entry_for(
-            rel, partition, batch, nbytes, stats_cols or self.stats_cols() or None
-        )
+        if stats_cols is None:
+            stats_cols = self.stats_cols()
+        return manifest.entry_for(rel, partition, batch, nbytes, stats_cols)
 
     def write_change_file(self, rows: pa.Table, partition: str, name: str) -> dict:
         """Write one change file (atomic; rows carry a ``change`` column)
@@ -331,7 +316,7 @@ class Table:
             "partition": partition,
             "rows": rows.num_rows,
             "bytes": nbytes,
-            "stats": "",
+            "stats": None,
         }
 
     def split_by_partition(self, batch: pa.Table, spec: str | None = None) -> dict[str, pa.Table]:
@@ -367,13 +352,17 @@ class Table:
         # concurrent appenders with the same prefix must never overwrite each
         # other's data files — commit() also rejects duplicate paths.
         wid = uuid.uuid4().hex[:10]
+        meta = self.snapshot()[1]
+        stats_cols = manifest.stats_cols(meta)
         entries = []
         seq = 0
-        for part, chunk in self.split_by_partition(data).items():
+        for part, chunk in self.split_by_partition(data, meta["partition_spec"]).items():
             for off in range(0, chunk.num_rows, rpf):
                 sl = chunk.slice(off, rpf)
                 entries.append(
-                    self.write_file(sl, part, f"{name_prefix}-{wid}-{seq:05d}.parquet")
+                    self.write_file(
+                        sl, part, f"{name_prefix}-{wid}-{seq:05d}.parquet", stats_cols
+                    )
                 )
                 seq += 1
         added = pa.Table.from_pylist(entries, schema=manifest.ENTRY_SCHEMA) if entries else None
@@ -406,8 +395,9 @@ class Table:
         """Write a Dataset's rows as partition-routed Parquet files WITHOUT
         committing; returns the manifest entries (one small row per file).
         ``spec`` overrides the partition routing (partition evolution)."""
-        spec = spec if spec is not None else self.partition_spec()
-        stats_cols = self.stats_cols()
+        meta = self.snapshot()[1]
+        spec = spec if spec is not None else meta["partition_spec"]
+        stats_cols = manifest.stats_cols(meta)
 
         def write_batch(batch: pa.Table) -> pa.Table:
             from .stages.rewrite import limit_arrow_threads

@@ -17,11 +17,17 @@ def test_append_between_plan_and_commit_survives(tmp_table_dir, ray_session):
     parent = t.current_snapshot_id()
 
     # plan compaction against snapshot 1
-    bins = compact.plan_compaction(t)
+    bins = compact.plan_compaction(t.entries(), t.config)
     assert bins
     job_id = lineage.job_id_for("compact", parent)
     added = rewrite.run_bins(
-        t, bins, job_id, sort_mode="key", sort_key=["conv_id", "turn_idx"]
+        t,
+        bins,
+        job_id,
+        schema=t.schema(parent),
+        stats_cols=t.stats_cols(parent),
+        sort_mode="key",
+        sort_key=["conv_id", "turn_idx"],
     )
 
     # a concurrent append commits snapshot 2 while compaction is in flight

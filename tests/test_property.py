@@ -116,15 +116,16 @@ def test_random_op_sequences_preserve_scan(
         # invariant 1: scan equality after EVERY op
         assert ordered(t.read_arrow()).equals(ordered(expected)), f"after {op} in {ops}"
     # invariant 3: manifest stats equal recomputation for every live file
-    import json
-
     import pyarrow.parquet as pq
 
     from e2e_ocsf_cyber_lakehouse_blueprint_ray.state import manifest as mf
 
-    for r in t.entries().to_pylist():
-        data = pq.read_table(os.path.join(t.dir, r["path"]))
-        assert json.loads(r["stats"]) == json.loads(
-            json.dumps(mf.compute_stats(data, TRANSCRIPT_STATS_COLS))
+    ents = t.entries()
+    for i in range(ents.num_rows):
+        entry = ents.slice(i, 1)
+        data = pq.read_table(os.path.join(t.dir, entry["path"][0].as_py()))
+        fresh = pa.Table.from_pylist(
+            [mf.entry_for("", "", data, 0, TRANSCRIPT_STATS_COLS)], schema=mf.ENTRY_SCHEMA
         )
-        assert r["rows"] == data.num_rows
+        assert entry["stats"].equals(fresh["stats"])
+        assert entry["rows"][0].as_py() == data.num_rows

@@ -2,7 +2,10 @@
 min/max (Delta data-skipping analog)."""
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.compute as pc
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from e2e_ocsf_cyber_lakehouse_blueprint_ray import config as cfg, synth
 from e2e_ocsf_cyber_lakehouse_blueprint_ray.schema import TRANSCRIPT, TRANSCRIPT_STATS_COLS
@@ -61,7 +64,6 @@ def test_conv_scan_prunes_to_single_partition(tmp_table_dir, ray_session):
     assert set(pruned["partition"].to_pylist()) == {part}
     import os
 
-    import pyarrow as pa
     import pyarrow.parquet as pq
 
     got = pa.concat_tables(
@@ -75,8 +77,6 @@ def test_bloom_prunes_point_lookup_beyond_minmax(tmp_table_dir, ray_session):
     """Interleave conversations so every file's conv_id [min, max] range
     overlaps every other's — range stats alone keep all files; the per-file
     bloom still isolates the one file holding the probed conversation."""
-    import pyarrow as pa
-
     from e2e_ocsf_cyber_lakehouse_blueprint_ray.state import manifest
 
     base = synth.transcripts(0.001)
@@ -99,14 +99,9 @@ def test_bloom_prunes_point_lookup_beyond_minmax(tmp_table_dir, ray_session):
     assert ents.num_rows >= 6
 
     conv = base["conv_id"][0].as_py()
-    files_with_conv = 0
-    import json
-
-    for s in ents["stats"].to_pylist():
-        st = json.loads(s)
-        assert "bloom" in st["conv_id"], "string stats should carry a bloom"
-        if manifest.bloom_may_contain(st["conv_id"]["bloom"], conv):
-            files_with_conv += 1
+    blooms = manifest.col_stats(ents, "conv_id")["bloom"]
+    assert blooms.null_count == 0, "string stats should carry a bloom"
+    files_with_conv = int(manifest.bloom_may_contain(ents, "conv_id", conv).sum())
 
     pruned = t.pruned_entries(predicates={"conv_id": (conv, conv)})
     # min/max alone keeps everything (interleaved); bloom must do better
@@ -117,3 +112,140 @@ def test_bloom_prunes_point_lookup_beyond_minmax(tmp_table_dir, ray_session):
     got = got.filter(pc.equal(got["conv_id"], conv))
     expected = base.filter(pc.equal(base["conv_id"], conv))
     assert got.num_rows == expected.num_rows
+
+
+# -- pruning soundness over random files and predicates ----------------------
+
+#: conv_ids that share a 64-char prefix, so truncated string bounds and
+#: blooms both have to carry the lookup; the last two cut to an upper bound
+#: that must bump past the surrogates, and to no upper bound at all
+_LONG = "k" * 64
+_CONVS = (
+    [f"c{i:02d}" for i in range(6)]
+    + [f"{_LONG}{s}" for s in ("", "a", "b", "\U0010ffff")]
+    + [_LONG[:63] + "\ud7ffz", "\U0010ffff" * 65]
+)
+#: a file's stats columns: all, or conv_id only (unknown ts/turn_idx bounds)
+_STATS = (["conv_id", "turn_idx", "ts", "score"], ["conv_id"])
+
+
+def _file(rows: list[tuple]) -> pa.Table:
+    """One data file's rows: (conv_id, turn_idx, ts µs); ``score`` is an
+    all-null column, so its stats hold only a null count."""
+    conv, turn, ts = (list(c) for c in zip(*rows))
+    return pa.table(
+        {
+            "conv_id": pa.array(conv, pa.string()),
+            "turn_idx": pa.array(turn, pa.int32()),
+            "ts": pa.array(ts, pa.timestamp("us")),
+            "score": pa.nulls(len(rows), pa.int64()),
+        }
+    )
+
+
+_row = st.tuples(
+    st.sampled_from(_CONVS),
+    st.one_of(st.none(), st.integers(0, 40)),
+    st.one_of(st.none(), st.integers(0, 10_000)),
+)
+_bound = st.one_of(st.none(), st.integers(-5, 10_005))
+
+
+@st.composite
+def _predicates(draw) -> dict:
+    preds = {}
+    if draw(st.booleans()):
+        key = draw(st.one_of(st.sampled_from(_CONVS), st.text(max_size=70)))
+        preds["conv_id"] = (key, key)
+    for col in ("turn_idx", "ts", "score"):
+        if draw(st.booleans()):
+            preds[col] = (draw(_bound), draw(_bound))
+    return preds
+
+
+def _matches(rows: list[tuple], preds: dict) -> bool:
+    """Some row satisfies every predicate (a null never does)."""
+    for conv, turn, ts in rows:
+        vals = {"conv_id": conv, "turn_idx": turn, "ts": ts, "score": None}
+        if all(
+            vals[c] is not None
+            and (lo is None or vals[c] >= lo)
+            and (hi is None or vals[c] <= hi)
+            for c, (lo, hi) in preds.items()
+        ):
+            return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    files=st.lists(st.lists(_row, min_size=1, max_size=12), min_size=1, max_size=8),
+    stats=st.lists(st.sampled_from(_STATS), min_size=8, max_size=8),
+    preds=_predicates(),
+)
+def test_prune_never_drops_a_matching_file(files, stats, preds):
+    from e2e_ocsf_cyber_lakehouse_blueprint_ray.state import manifest
+
+    ents = pa.Table.from_pylist(
+        [
+            manifest.entry_for(f"f{i}", "", _file(rows), 0, cols)
+            for i, (rows, cols) in enumerate(zip(files, stats))
+        ],
+        schema=manifest.ENTRY_SCHEMA,
+    )
+    kept = set(manifest.prune(ents, preds)["path"].to_pylist())
+    for i, rows in enumerate(files):
+        if _matches(rows, preds):
+            assert f"f{i}" in kept, (preds, rows)
+
+
+# -- one snapshot read per read call, none per rewrite unit -----------------
+
+def _count_snapshot_reads(monkeypatch) -> list:
+    from e2e_ocsf_cyber_lakehouse_blueprint_ray.state import manifest
+
+    calls = []
+    real = manifest.read_snapshot
+
+    def counted(table_dir, snapshot_id):
+        calls.append(snapshot_id)
+        return real(table_dir, snapshot_id)
+
+    monkeypatch.setattr(manifest, "read_snapshot", counted)
+    return calls
+
+
+def test_predicate_reads_read_the_snapshot_once(tmp_table_dir, ray_session, monkeypatch):
+    base = synth.transcripts(0.001)
+    t = make_table(tmp_table_dir, base, rows_per_file=300)
+    conv = "conv-00000042"
+    calls = _count_snapshot_reads(monkeypatch)
+    got = t.read_arrow(predicates={"conv_id": (conv, conv)})
+    assert len(calls) == 1
+    assert got.filter(pc.equal(got["conv_id"], conv)).num_rows == base.filter(
+        pc.equal(base["conv_id"], conv)
+    ).num_rows
+    calls.clear()
+    t.scan(predicates={"conv_id": (conv, conv)})
+    assert len(calls) == 1
+
+
+def test_rewrite_units_do_not_read_the_snapshot(tmp_table_dir, monkeypatch):
+    from e2e_ocsf_cyber_lakehouse_blueprint_ray.stages import rewrite
+
+    base = synth.transcripts(0.001)
+    t = make_table(tmp_table_dir, base, rows_per_file=100)
+    bins = compact.plan_compaction(t.entries(), t.config)
+    assert len(bins) > 1
+    ents, meta = t.snapshot()
+    rewriter = rewrite.BinRewriter(
+        t.dir,
+        CONF,
+        "compact-count",
+        schema=meta["schema"],
+        stats_cols=TRANSCRIPT_STATS_COLS,
+    )
+    calls = _count_snapshot_reads(monkeypatch)
+    out = rewriter(pa.Table.from_pylist(bins))
+    assert calls == []
+    assert int(pc.sum(out["rows"]).as_py()) == base.num_rows

@@ -440,22 +440,12 @@ def test_multimodal_plumbing(docs_ds, ray_session):
     for r in frames:
         per.setdefault(r["media_id"], []).append(r["frame_idx"])
     assert all(sorted(v) == [0, 1, 2] for v in per.values())
-    with pytest.raises(NotImplementedError):
-        multimodal.ImageDecoder(use_real_codec=True)
-    # "auto" falls back to the fake path when the codec import fails (PIL
-    # absent in this container) — same output as the default gate
-    auto_dec = multimodal.ImageDecoder(use_real_codec="auto")
-    assert auto_dec.real is None
-    one = media.take_batch(4, batch_format="pyarrow")
-    assert auto_dec(one).to_pylist() == multimodal.ImageDecoder()(one).to_pylist()
     # audio-analog stage: fake PCM features over the same payload plumbing
     audio = media.map_batches(
         multimodal.AudioFeatureExtractor, batch_format="pyarrow", batch_size=64, concurrency=2
     ).take_all()
     assert all(r["sample_rate"] == 16000 and len(r["band_energy"]) == 8 for r in audio)
     assert all(r["duration_s"] > 0 and r["rms"] >= 0 for r in audio)
-    with pytest.raises(NotImplementedError):
-        multimodal.AudioFeatureExtractor(use_real_codec=True)
 
 
 def test_image_resize_resample():
@@ -474,19 +464,12 @@ def test_image_resize_resample():
     same = multimodal.ImageResizer(target_w=64, target_h=64)(b).to_pylist()[0]
     assert (same["out_w"], same["out_h"]) == (4, 2)
     assert same["payload"] == payload
-    # corrupt payload degrades to nulls, and the real-codec stub is gated
+    # corrupt payload degrades to nulls
     bad = pa.table({"media_id": pa.array([2], pa.int64()),
                     "kind": pa.array(["image"]),
                     "payload": pa.array([b"nope"], pa.binary()),
                     "n_bytes": pa.array([4], pa.int64())})
     assert multimodal.ImageResizer()(bad).to_pylist()[0]["out_w"] is None
-    with pytest.raises(NotImplementedError):
-        multimodal.ImageResizer(use_real_codec=True)
-    # "auto" gate: falls back to the fake resample when PIL is absent
-    auto = multimodal.ImageResizer(target_w=2, target_h=2, use_real_codec="auto")
-    assert auto.real is None and auto(b).to_pylist() == multimodal.ImageResizer(
-        target_w=2, target_h=2
-    )(b).to_pylist()
 
 
 def test_distinct_pairs_multiblock_edge_merge(ray_session):
