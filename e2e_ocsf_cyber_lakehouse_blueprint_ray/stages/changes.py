@@ -23,8 +23,10 @@ the range is never read. The records carry row counts, so the feed picks its
 path before reading anything: up to ``SUBSET_DRIVER_MAX_ROWS`` rows the files
 are read with pyarrow on the driver and netted in one Arrow group_by; above
 it a two-phase distributed netting (``_distributed_net``) runs over the same
-files. A range with an expired snapshot inside falls back to the two
-snapshots' manifest diff as whole files.
+files, each phase past its driver cap on the engine's one sorted pass
+(``order.fold_sorted``). A range with an expired snapshot inside falls back
+to the two snapshots' manifest diff as whole files; an expired end is a
+``ValueError`` naming the oldest retained snapshot.
 
 Netting always groups by the FULL row content — encoded as one exact,
 NON-NULL key string per row (nullable raw columns make unreliable Arrow
@@ -47,6 +49,7 @@ null-fill evolved columns), so content compares under one schema.
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -56,8 +59,9 @@ import pyarrow.parquet as pq
 
 from ..state import manifest
 from ..table import Table
+from .order import EDGE, fold_sorted
 
-_NET, _EDGE, _HASH, _KEY = "_net", "_edge", "_h", "_k"
+_NET, _HASH, _KEY = "_net", "_h", "_k"
 
 
 def _content_key(t: pa.Table, cols: list[str]) -> pa.Array:
@@ -87,6 +91,28 @@ def _net_table(t: pa.Table, cols: list[str]) -> pa.Table:
     out[_KEY] = agg[_KEY]
     out[_NET] = agg[f"{_NET}_sum"]
     return pa.table(out)
+
+
+def _hash_net(t: pa.Table) -> pa.Table:
+    """Signed sum per 128-bit content hash: the phase-1 netting of a batch,
+    of the driver fold and of each sorted block."""
+    agg = t.group_by(["_h1", "_h2"]).aggregate([(_NET, "sum")])
+    return pa.table({"_h1": agg["_h1"], "_h2": agg["_h2"], _NET: agg[f"{_NET}_sum"]})
+
+
+def _net_block(net, hash_col: str):
+    """``fold_sorted`` block pass around a netting kernel: groups whose
+    hash is the block's min or max may continue in a neighbour block (edge
+    bit 1); interior groups that net to zero are dropped here."""
+
+    def per_block(b: pa.Table) -> pa.Table:
+        agg = net(b)
+        hmin, hmax = pc.min_max(b[hash_col]).values()
+        edge = pc.or_(pc.equal(agg[hash_col], hmin), pc.equal(agg[hash_col], hmax))
+        keep = pc.or_(edge, pc.not_equal(agg[_NET], 0))
+        return agg.filter(keep).append_column(EDGE, pc.cast(edge.filter(keep), pa.int8()))
+
+    return per_block
 
 
 def _label(t: pa.Table, cols: list[str]) -> pa.Table:
@@ -120,9 +146,10 @@ def _signs(b: pa.Table, side: int) -> np.ndarray:
 
 
 #: phase-1 partials of the distributed netting fold on the driver below this
-#: many rows (~24 B each); above it a distributed narrow-row sort takes
-#: over. Tests and ``scripts/ab_changes_fold.py`` set the module attribute
-#: (0 forces the distributed fold — the 100-TB shape — everywhere).
+#: many rows (~24 B each); above it ``fold_sorted`` over the narrow rows
+#: takes over. Measured on 4 CPUs, the forced distributed fold was slower
+#: at every sf that fits this path's inputs (see BASELINE.md), so the driver
+#: fold stays below the cap. Tests set the attribute to force the other side.
 PARTIAL_DRIVER_MAX_ROWS = 8_000_000
 #: at most this many change rows (known from the change records before any
 #: read) net on the driver with pyarrow; more run the distributed netting.
@@ -148,8 +175,14 @@ def change_files(table: Table, from_id: int, to_id: int) -> list[list]:
     (``manifest.CHANGE_FILE`` = per-row ``change`` column), sum to the
     content of ``to_id`` minus that of ``from_id``."""
     ids = set(manifest.list_snapshot_ids(table.dir))
+    for sid in (from_id, to_id):
+        if sid not in ids:
+            raise ValueError(
+                f"snapshot {sid} of {table.dir} is expired or was never written; "
+                f"the oldest retained snapshot is {min(ids, default=None)}"
+            )
     walk = range(from_id + 1, to_id + 1)
-    if from_id > to_id or from_id not in ids or any(s not in ids for s in walk):
+    if from_id > to_id or any(s not in ids for s in walk):
         # a reversed range or an expired snapshot inside it: diff the ends
         return _file_diff(table.entries(from_id), table.entries(to_id))
     cdf: list[list] = []
@@ -176,9 +209,9 @@ def snapshot_changes(table: Table, from_id: int, to_id: int):
     ``to_id``'s schema plus a ``change`` column."""
     import ray.data as rd
 
+    items = change_files(table, from_id, to_id)
     schema = table.schema(to_id)
     out_schema = schema.append(pa.field("change", pa.string()))
-    items = change_files(table, from_id, to_id)
     if not items:
         return rd.from_arrow(out_schema.empty_table())
     if sum(rows for _p, _s, rows, _b in items) <= SUBSET_DRIVER_MAX_ROWS:
@@ -258,88 +291,40 @@ def _distributed_net(table: Table, items: list[list], schema: pa.Schema):
     def hash_partial(side_val: int):
         def fn(b: pa.Table) -> pa.Table:
             h1, h2 = _hashes(_aligned(b, schema))
-            t = pa.table(
-                {"_h1": pa.array(h1), "_h2": pa.array(h2), _NET: pa.array(_signs(b, side_val))}
-            )
-            return t.group_by(["_h1", "_h2"]).aggregate([(_NET, "sum")])
+            signs = pa.array(_signs(b, side_val))
+            return _hash_net(pa.table({"_h1": pa.array(h1), "_h2": pa.array(h2), _NET: signs}))
 
         return fn
 
     # The partials are one 24-byte row per distinct content per batch. Up to
     # the cap they fold on the driver (one Arrow group_by — the mergeable-
-    # partials pattern, cf. HLL/k-means); past it, a distributed sort on the
-    # narrow rows + per-block netting + edge combine takes over, where the
-    # sort's fixed per-block overhead is amortized by the (then large) input.
+    # partials pattern, cf. HLL/k-means); past it, the sorted pass over the
+    # narrow rows takes over, where the sort's fixed per-block overhead is
+    # amortized by the (then large) input.
     parts: list[pa.Table] = []
     n_part = 0
-    overflow = False
-    part_iter = _sides(hash_partial).iter_batches(batch_size=None, batch_format="pyarrow")
-    for b in part_iter:
-        parts.append(b.select(["_h1", "_h2", f"{_NET}_sum"]))
+    partials = _sides(hash_partial).iter_batches(batch_size=None, batch_format="pyarrow")
+    for b in partials:
+        parts.append(b)
         n_part += b.num_rows
         if n_part > PARTIAL_DRIVER_MAX_ROWS:
-            overflow = True
             break
-
-    if not overflow:
-        if not parts:
-            return rd.from_arrow(out_schema.empty_table())
-        pt = pa.concat_tables(parts).combine_chunks()
-        agg = pt.group_by(["_h1", "_h2"]).aggregate([(f"{_NET}_sum", "sum")])
-        nz = agg.filter(pc.not_equal(agg[f"{_NET}_sum_sum"], 0))
-        changed1 = nz["_h1"].to_numpy(zero_copy_only=False).astype(np.int64)
-        changed2 = nz["_h2"].to_numpy(zero_copy_only=False).astype(np.int64)
-    else:
-        # distributed hash netting: sort the narrow partial rows and net per
-        # block, holding out block-edge hashes for a tiny driver combine
-        del parts, part_iter
-
-        def per_block_hash_net(b: pa.Table) -> pa.Table:
-            if b.num_rows == 0:
-                return pa.table(
-                    {
-                        "_h1": pa.array([], pa.int64()),
-                        "_h2": pa.array([], pa.int64()),
-                        "net": pa.array([], pa.int64()),
-                        "_edge": pa.array([], pa.bool_()),
-                    }
-                )
-            agg = b.group_by(["_h1", "_h2"]).aggregate([(f"{_NET}_sum", "sum")])
-            agg = pa.table(
-                {
-                    "_h1": agg["_h1"],
-                    "_h2": agg["_h2"],
-                    "net": agg[f"{_NET}_sum_sum"],
-                }
-            )
-            hmin, hmax = pc.min_max(b["_h1"]).values()
-            edge = pc.or_(pc.equal(agg["_h1"], hmin), pc.equal(agg["_h1"], hmax))
-            keep = pc.or_(edge, pc.not_equal(agg["net"], 0))
-            return agg.filter(keep).append_column("_edge", edge.filter(keep))
-
-        hn = (
-            _sides(hash_partial)
-            .sort("_h1")
-            .map_batches(per_block_hash_net, batch_format="pyarrow", batch_size=None)
+    del partials
+    if n_part > PARTIAL_DRIVER_MAX_ROWS:
+        del parts
+        folded = fold_sorted(
+            _sides(hash_partial), ["_h1"], _net_block(_hash_net, "_h1"), _hash_net
         )
-        interior1: list[np.ndarray] = []
-        interior2: list[np.ndarray] = []
-        edge_parts1: list[pa.Table] = []
-        for b in hn.iter_batches(batch_size=None, batch_format="pyarrow"):
-            nzb = b.filter(pc.and_(pc.invert(b["_edge"]), pc.not_equal(b["net"], 0)))
-            interior1.append(nzb["_h1"].to_numpy(zero_copy_only=False).astype(np.int64))
-            interior2.append(nzb["_h2"].to_numpy(zero_copy_only=False).astype(np.int64))
-            e = b.filter(b["_edge"])
-            if e.num_rows:
-                edge_parts1.append(e.drop_columns(["_edge"]))
-        if edge_parts1:
-            et1 = pa.concat_tables(edge_parts1).combine_chunks()
-            ea1 = et1.group_by(["_h1", "_h2"]).aggregate([("net", "sum")])
-            nze = ea1.filter(pc.not_equal(ea1["net_sum"], 0))
-            interior1.append(nze["_h1"].to_numpy(zero_copy_only=False).astype(np.int64))
-            interior2.append(nze["_h2"].to_numpy(zero_copy_only=False).astype(np.int64))
-        changed1 = np.concatenate(interior1) if interior1 else np.array([], np.int64)
-        changed2 = np.concatenate(interior2) if interior2 else np.array([], np.int64)
+        parts = list(folded.iter_batches(batch_size=None, batch_format="pyarrow"))
+    elif parts:
+        parts = [_hash_net(pa.concat_tables(parts))]
+    nz = [p.filter(pc.not_equal(p[_NET], 0)) for p in parts]
+    changed1 = np.concatenate(
+        [p["_h1"].to_numpy(zero_copy_only=False) for p in nz] or [np.array([], np.int64)]
+    ).astype(np.int64)
+    changed2 = np.concatenate(
+        [p["_h2"].to_numpy(zero_copy_only=False) for p in nz] or [np.array([], np.int64)]
+    ).astype(np.int64)
 
     if len(changed1) == 0:
         return rd.from_arrow(out_schema.empty_table())
@@ -391,31 +376,8 @@ def _distributed_net(table: Table, items: list[list], schema: pa.Schema):
         rt = pa.concat_tables(rows).combine_chunks()
         return rd.from_arrow(_label(_net_table(rt, cols), cols).cast(out_schema))
 
-    # large churn: distributed exact netting over the subset
-    def per_block_net(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return b.append_column(_EDGE, pa.array([], pa.bool_()))
-        agg = _net_table(b, cols)
-        hmin, hmax = pc.min_max(b[_HASH]).values()
-        edge = pc.or_(pc.equal(agg[_HASH], hmin), pc.equal(agg[_HASH], hmax))
-        keep = pc.or_(edge, pc.not_equal(agg[_NET], 0))
-        return agg.filter(keep).append_column(_EDGE, edge.filter(keep))
-
-    netted = (
-        subset.sort(_HASH)
-        .map_batches(per_block_net, batch_format="pyarrow", batch_size=None)
-        .materialize()  # change-sized, not table-sized: read twice below
+    # large churn: the sorted pass nets the subset distributed
+    net = functools.partial(_net_table, cols=cols)
+    return fold_sorted(subset, [_HASH], _net_block(net, _HASH), net).map_batches(
+        lambda b: _label(b, cols).cast(out_schema), batch_format="pyarrow"
     )
-    interior = netted.map_batches(
-        lambda b: _label(b.filter(pc.invert(b[_EDGE])), cols), batch_format="pyarrow"
-    )
-    edge_parts = [
-        b.filter(b[_EDGE])
-        for b in netted.iter_batches(batch_size=None, batch_format="pyarrow")
-    ]
-    edge_parts = [b for b in edge_parts if b.num_rows]
-    if edge_parts:
-        et = pa.concat_tables(edge_parts).combine_chunks()
-        edge_final = _label(_net_table(et, cols), cols).cast(out_schema)
-        return interior.union(rd.from_arrow(edge_final))
-    return interior

@@ -26,6 +26,8 @@ Two execution modes:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -132,6 +134,47 @@ def _write_sorted_batch(
     return pa.Table.from_pylist(entries, schema=ENTRY_SCHEMA)
 
 
+def _global_sort_write(
+    table: Table,
+    parent: int,
+    ents: pa.Table,
+    stats_cols: list[str],
+    add_key,
+    concurrency: int | None,
+) -> pa.Table:
+    """The global cluster pipeline: scan snapshot ``parent``, add
+    ``_part``/``_zkey`` per whole block with ``add_key``, ONE range-shuffle
+    sort on (_part, _zkey), then stateless writer tasks batched at target
+    file size. Returns the manifest entries of the written files."""
+    cfg = table.config
+    total_rows = int(pc.sum(ents["rows"]).as_py() or 0)
+    total_bytes = int(pc.sum(ents["bytes"]).as_py() or 0)
+    bpr = total_bytes / max(1, total_rows)
+    conc = max(1, concurrency or cfg.rewrite_concurrency)
+    # Size the sort's partition count from the data, not Ray's min-200-
+    # blocks default: on a ~100 MB table that default makes 200+ 0.5 MB
+    # blocks and the range shuffle becomes pure per-block overhead. One
+    # block ≈ one uncompressed target file's worth keeps reduce tasks
+    # meaningful at every scale (zstd ≈ 3× expansion estimate).
+    n_blocks = max(conc, min(4096, -(-(total_bytes * 3) // cfg.target_file_bytes)))
+    ds = table.scan(snapshot_id=parent, override_num_blocks=n_blocks)
+    # whole-block batches: no rebatch copy before the shuffle
+    ds = ds.map_batches(add_key, batch_format="pyarrow", batch_size=None)
+    ds = ds.sort(["_part", "_zkey"])
+    # batch the writer at target-file granularity so output files land
+    # near target_file_bytes instead of one file per sorted block
+    writer_rows = max(1, min(cfg.max_rows_per_file, int(cfg.target_file_bytes / max(1.0, bpr))))
+    ent_ds = ds.map_batches(
+        _write_sorted_batch,
+        fn_kwargs=dict(table_dir=table.dir, config=cfg, bytes_per_row=bpr, stats_cols=stats_cols),
+        batch_format="pyarrow",
+        batch_size=writer_rows,
+        concurrency=conc,
+    )
+    rows = ent_ds.take_all()  # manifest entries only — data stays distributed
+    return pa.Table.from_pylist(rows, schema=ENTRY_SCHEMA) if rows else ENTRY_SCHEMA.empty_table()
+
+
 def plan_partition_bins(ents: pa.Table) -> list[dict]:
     """One bin per table partition containing ALL its files — the unit of
     the shuffle-free cluster path (the whole partition is sorted in-task)."""
@@ -203,48 +246,19 @@ def cluster(
                 "global cluster mode needs the hash key column "
                 "(conv_id); key-less tables cluster per partition"
             )
-        spec = meta["partition_spec"]
-        total_rows = int(pc.sum(ents["rows"]).as_py() or 0)
-        total_bytes = int(pc.sum(ents["bytes"]).as_py() or 0)
-        bpr = total_bytes / max(1, total_rows)
-        conc = max(1, concurrency or cfg.rewrite_concurrency)
-        # Size the sort's partition count from the data, not Ray's min-200-
-        # blocks default: on a ~100 MB table that default makes 200+ 0.5 MB
-        # blocks and the range shuffle becomes pure per-block overhead. One
-        # block ≈ one uncompressed target file's worth keeps reduce tasks
-        # meaningful at every scale (zstd ≈ 3× expansion estimate).
-        est_inmem = total_bytes * 3
-        n_blocks = max(conc, min(4096, -(-est_inmem // cfg.target_file_bytes)))
-        ds = table.scan(snapshot_id=parent, override_num_blocks=n_blocks)
-        ds = ds.map_batches(
-            add_cluster_key,
-            fn_kwargs=dict(
+        added = _global_sort_write(
+            table,
+            parent,
+            ents,
+            stats_cols,
+            functools.partial(
+                add_cluster_key,
                 config=cfg,
                 curve=curve,
-                spec=spec,
+                spec=meta["partition_spec"],
                 ts_range=_stats_range(ents, "ts"),
             ),
-            batch_format="pyarrow",
-            batch_size=None,  # whole-block batches: no rebatch copy before the shuffle
-        )
-        ds = ds.sort(["_part", "_zkey"])
-        # batch the writer at target-file granularity so output files land
-        # near target_file_bytes instead of one file per sorted block
-        writer_rows = max(
-            1, min(cfg.max_rows_per_file, int(cfg.target_file_bytes / max(1.0, bpr)))
-        )
-        ent_ds = ds.map_batches(
-            _write_sorted_batch,
-            fn_kwargs=dict(
-                table_dir=table.dir, config=cfg, bytes_per_row=bpr, stats_cols=stats_cols
-            ),
-            batch_format="pyarrow",
-            batch_size=writer_rows,
-            concurrency=conc,
-        )
-        rows = ent_ds.take_all()  # manifest entries only — data stays distributed
-        added = (
-            pa.Table.from_pylist(rows, schema=ENTRY_SCHEMA) if rows else ENTRY_SCHEMA.empty_table()
+            concurrency,
         )
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -277,7 +291,6 @@ def cluster_by_columns(
     on (_part, _zkey), target-size file writer, single commit."""
     from ..hashing import morton_nd
 
-    cfg = table.config
     parent = table.current_snapshot_id()
     ents, meta = table.snapshot(parent)
     if ents.num_rows == 0 or not cols:
@@ -319,30 +332,9 @@ def cluster_by_columns(
             "_zkey", pa.array(zk.astype(np.int64))
         )
 
-    total_rows = int(pc.sum(ents["rows"]).as_py() or 0)
-    total_bytes = int(pc.sum(ents["bytes"]).as_py() or 0)
-    bpr = total_bytes / max(1, total_rows)
-    conc = max(1, concurrency or cfg.rewrite_concurrency)
-    est_inmem = total_bytes * 3
-    n_blocks = max(conc, min(4096, -(-est_inmem // cfg.target_file_bytes)))
-    ds = table.scan(snapshot_id=parent, override_num_blocks=n_blocks)
-    ds = ds.map_batches(add_key, batch_format="pyarrow", batch_size=None)
-    ds = ds.sort(["_part", "_zkey"])
-    writer_rows = max(1, min(cfg.max_rows_per_file, int(cfg.target_file_bytes / max(1.0, bpr))))
-    ent_ds = ds.map_batches(
-        _write_sorted_batch,
-        fn_kwargs=dict(
-            table_dir=table.dir,
-            config=cfg,
-            bytes_per_row=bpr,
-            stats_cols=manifest.stats_cols(meta),
-        ),
-        batch_format="pyarrow",
-        batch_size=writer_rows,
-        concurrency=conc,
+    added = _global_sort_write(
+        table, parent, ents, manifest.stats_cols(meta), add_key, concurrency
     )
-    rows = ent_ds.take_all()
-    added = pa.Table.from_pylist(rows, schema=ENTRY_SCHEMA) if rows else ENTRY_SCHEMA.empty_table()
     return table.commit(
         added=added,
         removed=removed,

@@ -33,28 +33,17 @@ def plan_compaction(
     by_path = {
         r["path"]: r for r in ents.select(["path", "partition", "rows", "bytes"]).to_pylist()
     }
-    by_part: dict[str, list[dict]] = {}
-    for r in by_path.values():
-        if partitions is not None and r["partition"] not in partitions:
-            continue
-        by_part.setdefault(r["partition"], []).append(r)
-
     threshold = cfg.small_file_fraction * cfg.target_file_bytes
-    bins: list[dict] = []
-    for part in sorted(by_part):
-        files = [f for f in by_part[part] if f["bytes"] < threshold]
-        cur: list[str] = []
-        cur_bytes = 0
-        for f in sorted(files, key=lambda r: r["path"]):
-            if cur and cur_bytes + f["bytes"] > cfg.target_file_bytes:
-                if len(cur) > 1:
-                    bins.append(rewrite.make_bin(cur, part, by_path))
-                cur, cur_bytes = [], 0
-            cur.append(f["path"])
-            cur_bytes += f["bytes"]
-        if len(cur) > 1:
-            bins.append(rewrite.make_bin(cur, part, by_path))
-    return bins
+    small: dict[str, list[str]] = {}
+    for r in by_path.values():
+        if r["bytes"] < threshold and (partitions is None or r["partition"] in partitions):
+            small.setdefault(r["partition"], []).append(r["path"])
+    return [
+        rewrite.make_bin(b, part, by_path)
+        for part in sorted(small)
+        for b in rewrite.pack_bins(small[part], by_path, cfg.target_file_bytes)
+        if len(b) > 1
+    ]
 
 
 def compact(

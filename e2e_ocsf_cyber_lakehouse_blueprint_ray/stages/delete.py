@@ -75,17 +75,11 @@ def delete_where(
     units: list[dict] = []
     rewritten: list[str] = []
     for part in sorted(straddling):
-        paths = sorted(straddling[part])
-        rewritten.extend(paths)
-        bins: list[list[str]] = [[]]
-        cur = 0
-        for p in paths:
-            if bins[-1] and cur + by_path[p]["bytes"] > bin_cap:
-                bins.append([])
-                cur = 0
-            bins[-1].append(p)
-            cur += by_path[p]["bytes"]
-        units.extend(rewrite.make_bin(b, part, by_path, params=params) for b in bins)
+        rewritten.extend(sorted(straddling[part]))
+        units.extend(
+            rewrite.make_bin(b, part, by_path, params=params)
+            for b in rewrite.pack_bins(straddling[part], by_path, bin_cap)
+        )
 
     if not units and not dropped:
         return parent  # nothing matches: no new snapshot

@@ -176,15 +176,7 @@ def merge(
             unit["apply_extra"] = True
             units.append(unit)
             continue
-        bins: list[list[str]] = [[]]
-        cur_bytes = 0
-        for p in touched:
-            if bins[-1] and cur_bytes + by_path[p]["bytes"] > bin_cap:
-                bins.append([])
-                cur_bytes = 0
-            bins[-1].append(p)
-            cur_bytes += by_path[p]["bytes"]
-        for i, b in enumerate(bins):
+        for i, b in enumerate(rewrite.pack_bins(touched, by_path, bin_cap)):
             unit = rewrite.make_bin(b, part, by_path, params=params)
             unit["apply_extra"] = i == 0  # upserts land in ONE bin per partition
             units.append(unit)

@@ -1,5 +1,6 @@
 """Distributed ordering primitives: bucketed global offsets → deterministic
-shuffle rank and sequence packing.
+shuffle rank and sequence packing; the one sorted pass (``fold_sorted``)
+and the per-key ordered windows built on it.
 
 Training-data prep needs GLOBAL positions (a reproducible shuffle order, the
 token offset where each document lands in a packed sequence stream) — i.e. a
@@ -19,6 +20,13 @@ Bucket cardinality is the scale knob: buckets must (a) be many × cluster
 cores for parallelism and (b) each fit in a task (≈ corpus/buckets rows).
 2⁸ md5 buckets / 64-doc ranges suit the test fixtures; a 10¹²-row corpus
 uses 2–3 key bytes / larger ranges — same code, different constant.
+
+Per-key ordered work (rolling SUM, LAG, LEAD here; exact dedup,
+``distinct_pairs`` and the change feed's distributed netting elsewhere) uses
+the other shape, :func:`fold_sorted`: one global range sort, one vectorized
+kernel per sorted block, and a driver fix-up of the O(blocks) rows at block
+edges by the same kernel — a hot key spans blocks instead of pinning one
+reducer.
 
 No reference analog (the reference has no ordering ops); this is graft
 machinery for the LLM-data pipeline axis.
@@ -210,6 +218,97 @@ def pack_sequences(
     return keyed.groupby("_bucket").map_groups(pack_group, batch_format="pyarrow")
 
 
+# -- the sorted pass ----------------------------------------------------------
+
+#: int8 flag column a ``fold_sorted`` block kernel appends to its rows
+EDGE = "_edge"
+
+
+def run_starts(t: pa.Table, cols: list[str]) -> np.ndarray:
+    """Row index where each run of equal ``cols`` values starts in a sorted
+    table (empty for an empty table)."""
+    new = np.zeros(t.num_rows, bool)
+    new[:1] = True
+    for c in cols:
+        v = t[c].to_numpy(zero_copy_only=False)
+        new[1:] |= v[1:] != v[:-1]
+    return np.flatnonzero(new)
+
+
+def fold_sorted(ds, keys: list[str], per_block, finish):
+    """The engine's one skew-proof sorted pass, shared by the ordered
+    windows, exact dedup, ``distinct_pairs`` and the change feed's netting.
+
+    ONE global range sort on ``keys`` — Ray balances blocks by rows, so a
+    hot key spans blocks instead of pinning a reducer — then
+    ``per_block(block)`` runs once per whole sorted block and appends an
+    int8 ``EDGE`` flag per output row: bit 1 = the row depends on a
+    neighbour block (not final), bit 2 = a neighbour's rows need it as
+    context. Rows without bit 1 are final. The flagged rows (O(blocks) of
+    them, independent of key skew) are gathered on the driver, sorted on
+    ``keys`` and handed to ``finish``, which returns the fixed-up rows —
+    usually by running the block kernel again over them. If its result
+    keeps ``EDGE``, only the bit-1 rows are kept (context rows were final
+    already). Returns the final rows unioned with the fixed-up ones."""
+    import ray.data as rd
+
+    # materialize ONCE: the final rows and the edge gather both read the
+    # pass; without the pin Ray re-executes the sort per consumer
+    marked = ds.sort(keys).map_batches(
+        per_block, batch_format="pyarrow", batch_size=None
+    ).materialize()
+    final = marked.map_batches(
+        lambda b: b.filter(pc.equal(pc.bit_wise_and(b[EDGE], 1), 0)).drop_columns([EDGE]),
+        batch_format="pyarrow",
+        batch_size=None,
+    )
+    edges = [
+        b
+        for b in marked.map_batches(
+            lambda b: b.filter(pc.not_equal(b[EDGE], 0)), batch_format="pyarrow", batch_size=None
+        ).iter_batches(batch_size=None, batch_format="pyarrow")
+        if b.num_rows
+    ]
+    if not edges:
+        return final
+    et = pa.concat_tables(edges, promote_options="default").combine_chunks()
+    fixed = finish(et.sort_by([(k, "ascending") for k in keys]))
+    if EDGE in fixed.column_names:
+        fixed = fixed.filter(pc.equal(pc.bit_wise_and(fixed[EDGE], 1), 1)).drop_columns([EDGE])
+    return final.union(rd.from_arrow(fixed))
+
+
+def _key_window(ds, *, key, order_cols, out_col, reach, ahead, values):
+    """Per-key ordered window over ``fold_sorted`` on (key, *order_cols).
+    ``values(t, run_start, run_end)`` computes ``out_col`` for a sorted
+    table from each row's key-run bounds, reading at most ``reach`` rows
+    behind (``ahead=False``) or ahead of the row inside its run. So only a
+    block's first run's leading ``reach`` rows (last run's trailing, when
+    ahead) can depend on a neighbour block; the other end's ``reach`` rows
+    ship as their context. The driver fix-up is ``values`` again over those
+    rows: each head's in-reach neighbours are all among them."""
+
+    def window(t: pa.Table) -> tuple[pa.Table, np.ndarray]:
+        starts = run_starts(t, [key])
+        lens = np.diff(np.r_[starts, t.num_rows])
+        out = values(t, np.repeat(starts, lens), np.repeat(starts + lens, lens))
+        return t.append_column(out_col, out), starts
+
+    def per_block(b: pa.Table) -> pa.Table:
+        out, starts = window(b)
+        n = b.num_rows
+        j = np.arange(n)
+        first = j < (starts[1] if len(starts) > 1 else n)
+        last = j >= (starts[-1] if len(starts) else 0)
+        behind, front = first & (j < reach), last & (j >= n - reach)
+        head, ctx = (front, behind) if ahead else (behind, front)
+        return out.append_column(EDGE, pa.array((head + 2 * ctx).astype(np.int8)))
+
+    return fold_sorted(
+        ds, [key] + order_cols, per_block, lambda e: window(e.drop_columns([out_col]))[0]
+    )
+
+
 def rolling_sum(
     ds,
     *,
@@ -223,89 +322,41 @@ def rolling_sum(
     order_cols ROWS BETWEEN window-1 PRECEDING AND CURRENT ROW) — the
     per-key sliding window the Dataset API lacks.
 
-    Shape (the engine's skew-proof sort + segment pattern, cf.
-    q_events_sessionize): ONE global range sort on (key, *order_cols) —
-    Ray balances blocks by rows, so a hot key spans blocks instead of
-    pinning a reducer — then one vectorized pass per sorted block computes
-    prefix-sum rolling windows with run resets. Only rows whose window
-    could cross a block edge are incomplete: ≤ (window−1) head rows of a
-    block's first run, recomputed on the driver from the ≤ (window−1)
-    trailing context rows each block also emits — O(blocks × window) rows,
-    independent of key skew. ``value_col`` must be int64 (round floats to
-    cents first; exact sums, engine-independent hashes).
+    Shape: :func:`fold_sorted` on (key, *order_cols) with one vectorized
+    prefix-sum pass per sorted block (run resets at key changes). Only a
+    block's first run's ≤ (window−1) head rows are incomplete; the driver
+    recomputes them from the ≤ (window−1) trailing context rows each block
+    also ships — O(blocks × window) rows, independent of key skew.
+    ``value_col`` must be int64 (round floats to cents first; exact sums,
+    engine-independent hashes).
     """
-    import ray.data as rd
-
     w = int(window)
     if w < 1:
         raise ValueError("window must be >= 1")
-    SENT = -(2**62)
 
-    def per_block(b: pa.Table) -> pa.Table:
-        n = b.num_rows
-        if n == 0:
-            return b.append_column(out_col, pa.array([], pa.int64())).append_column(
-                "_edge", pa.array([], pa.int8())
-            )
-        k = b[key].to_numpy(zero_copy_only=False)
-        v = b[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        ends = np.r_[starts[1:], n]
-        run_start = np.repeat(starts, ends - starts)
-        j = np.arange(n)
+    def values(t: pa.Table, run_start: np.ndarray, run_end: np.ndarray) -> pa.Array:
+        v = t[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        j = np.arange(t.num_rows)
         cs = np.r_[0, np.cumsum(v)]
-        lo = np.maximum(j - w + 1, run_start)
-        roll = cs[j + 1] - cs[lo]
-        # head rows: first run of the block, within w-1 of the block edge —
-        # their window may continue into the previous block
-        head = (run_start == 0) & (j - run_start < w - 1)
-        # context rows: last run's trailing min(w-1, len) rows — the next
-        # block's heads may need them (emitted as context only, not output)
-        last_start = starts[-1]
-        ctx = (run_start == last_start) & (j >= n - (w - 1)) if w > 1 else np.zeros(n, bool)
-        edge = np.where(head, 1, 0) + np.where(ctx, 2, 0)  # 1=head 2=ctx 3=both
-        out = b.append_column(out_col, pa.array(np.where(head, SENT, roll)))
-        return out.append_column("_edge", pa.array(edge.astype(np.int8)))
+        return pa.array(cs[j + 1] - cs[np.maximum(j - w + 1, run_start)], pa.int64())
 
-    sorted_ds = ds.sort([key] + order_cols)
-    marked = sorted_ds.map_batches(per_block, batch_format="pyarrow", batch_size=None).materialize()
+    return _key_window(
+        ds, key=key, order_cols=order_cols, out_col=out_col, reach=w - 1, ahead=False,
+        values=values,
+    )
 
-    # completed rows = everything that is not a head (flags 0 and 2 —
-    # context-only rows carry correct windows, they are just INPUTS for the
-    # next block's heads)
-    done = marked.map_batches(
-        lambda b: b.filter(
-            pc.equal(pc.bit_wise_and(b["_edge"], 1), 0)
-        ).drop_columns(["_edge"]),
-        batch_format="pyarrow",
-    )
-    edge_parts = [
-        b.filter(pc.greater(b["_edge"], 0))
-        for b in marked.iter_batches(batch_size=None, batch_format="pyarrow")
-    ]
-    edge_parts = [b for b in edge_parts if b.num_rows]
-    if not edge_parts:
-        return done
-    et = pa.concat_tables(edge_parts, promote_options="default").combine_chunks()
-    et = et.sort_by([(key, "ascending")] + [(c, "ascending") for c in order_cols])
-    k = et[key].to_numpy(zero_copy_only=False)
-    v = et[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    flags = et["_edge"].to_numpy(zero_copy_only=False)
-    starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-    run_start = np.repeat(starts, np.r_[starts[1:], len(k)] - starts)
-    j = np.arange(len(k))
-    cs = np.r_[0, np.cumsum(v)]
-    lo = np.maximum(j - w + 1, run_start)
-    roll = cs[j + 1] - cs[lo]
-    # within w-1 of a head row every real predecessor is present in the
-    # edge union (each trailing segment ships its last w-1 rows), so the
-    # union-order window IS the true window for head rows
-    fixed = (
-        et.set_column(et.schema.get_field_index(out_col), out_col, pa.array(roll))
-        .filter(pa.array((flags == 1) | (flags == 3)))
-        .drop_columns(["_edge"])
-    )
-    return done.union(rd.from_arrow(fixed))
+
+def _shift(value_col: str, d: int):
+    """``values`` for LAG (``d`` > 0) / LEAD (``d`` < 0): the value ``d``
+    rows earlier in the key run, null past the run's edge."""
+
+    def values(t: pa.Table, run_start: np.ndarray, run_end: np.ndarray) -> pa.Array:
+        src = np.arange(t.num_rows) - d
+        valid = (src >= run_start) & (src < run_end)
+        v = t[value_col].take(pa.array(np.where(valid, src, 0)))
+        return pc.if_else(pa.array(valid), v, pa.nulls(t.num_rows, t[value_col].type))
+
+    return values
 
 
 def lag(
@@ -319,75 +370,16 @@ def lag(
 ):
     """Per-key LAG(value, offset): each row gets the value of the row
     ``offset`` positions earlier in its key's (order_cols) order, null at
-    the run head — the other ordered-window primitive (LEAD(v, n) ≡
-    LAG over the reversed order). Same skew-proof shape as rolling_sum:
-    one global range sort, vectorized per-block shift with run resets,
-    and ≤ offset head rows per block fixed from ≤ offset trailing context
-    rows — O(blocks × offset) driver work."""
-    import ray.data as rd
-
+    the run head. Same :func:`fold_sorted` shape as rolling_sum: ≤ offset
+    head rows per block fixed from ≤ offset trailing context rows —
+    O(blocks × offset) driver work."""
     d = int(offset)
     if d < 1:
         raise ValueError("offset must be >= 1")
-
-    def per_block(b: pa.Table) -> pa.Table:
-        n = b.num_rows
-        if n == 0:
-            return b.append_column(out_col, b[value_col]).append_column(
-                "_edge", pa.array([], pa.int8())
-            )
-        k = b[key].to_numpy(zero_copy_only=False)
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        ends = np.r_[starts[1:], n]
-        run_start = np.repeat(starts, ends - starts)
-        j = np.arange(n)
-        src = j - d
-        valid = src >= run_start
-        lagv = b[value_col].take(pa.array(np.where(valid, src, 0)))
-        lagv = pc.if_else(pa.array(valid), lagv, pa.nulls(n, b[value_col].type))
-        head = (run_start == 0) & (j - run_start < d)
-        last_start = starts[-1]
-        ctx = (run_start == last_start) & (j >= n - d)
-        edge = np.where(head, 1, 0) + np.where(ctx, 2, 0)
-        return b.append_column(out_col, lagv).append_column(
-            "_edge", pa.array(edge.astype(np.int8))
-        )
-
-    marked = (
-        ds.sort([key] + order_cols)
-        .map_batches(per_block, batch_format="pyarrow", batch_size=None)
-        .materialize()
+    return _key_window(
+        ds, key=key, order_cols=order_cols, out_col=out_col, reach=d, ahead=False,
+        values=_shift(value_col, d),
     )
-    done = marked.map_batches(
-        lambda b: b.filter(pc.equal(pc.bit_wise_and(b["_edge"], 1), 0)).drop_columns(
-            ["_edge"]
-        ),
-        batch_format="pyarrow",
-    )
-    edge_parts = [
-        b.filter(pc.greater(b["_edge"], 0))
-        for b in marked.iter_batches(batch_size=None, batch_format="pyarrow")
-    ]
-    edge_parts = [b for b in edge_parts if b.num_rows]
-    if not edge_parts:
-        return done
-    et = pa.concat_tables(edge_parts, promote_options="default").combine_chunks()
-    et = et.sort_by([(key, "ascending")] + [(c, "ascending") for c in order_cols])
-    k = et[key].to_numpy(zero_copy_only=False)
-    flags = et["_edge"].to_numpy(zero_copy_only=False)
-    starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-    run_start = np.repeat(starts, np.r_[starts[1:], len(k)] - starts)
-    j = np.arange(len(k))
-    src = j - d
-    valid = src >= run_start
-    lagv = et[value_col].take(pa.array(np.where(valid, src, 0)))
-    lagv = pc.if_else(pa.array(valid), lagv, pa.nulls(len(k), et[value_col].type))
-    fixed = (
-        et.set_column(et.schema.get_field_index(out_col), out_col, lagv)
-        .filter(pa.array((flags == 1) | (flags == 3)))
-        .drop_columns(["_edge"])
-    )
-    return done.union(rd.from_arrow(fixed))
 
 
 def lead(
@@ -401,73 +393,13 @@ def lead(
 ):
     """Per-key LEAD(value, offset): the value ``offset`` rows AHEAD in the
     key's order, null at the run tail. Mirror of :func:`lag` — incomplete
-    rows are now a block's LAST run's trailing ``offset`` rows (their
-    source row may live in the next block), and the context shipped for
-    the fix-up is each block's FIRST run's leading ``offset`` rows."""
-    import ray.data as rd
-
+    rows are a block's LAST run's trailing ``offset`` rows (their source
+    row may live in the next block), and the context shipped for the
+    fix-up is each block's FIRST run's leading ``offset`` rows."""
     d = int(offset)
     if d < 1:
         raise ValueError("offset must be >= 1")
-
-    def per_block(b: pa.Table) -> pa.Table:
-        n = b.num_rows
-        if n == 0:
-            return b.append_column(out_col, b[value_col]).append_column(
-                "_edge", pa.array([], pa.int8())
-            )
-        k = b[key].to_numpy(zero_copy_only=False)
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        ends = np.r_[starts[1:], n]
-        run_end = np.repeat(ends, ends - starts)
-        j = np.arange(n)
-        src = j + d
-        valid = src < run_end
-        leadv = b[value_col].take(pa.array(np.where(valid, src, 0)))
-        leadv = pc.if_else(pa.array(valid), leadv, pa.nulls(n, b[value_col].type))
-        # heads (incomplete): last run's trailing d rows — their true source
-        # may continue in the NEXT block
-        last_start = starts[-1]
-        head = (np.repeat(starts, ends - starts) == last_start) & (j >= n - d)
-        # context: first run's leading d rows feed the PREVIOUS block's heads
-        ctx = (np.repeat(starts, ends - starts) == 0) & (j < d)
-        edge = np.where(head, 1, 0) + np.where(ctx, 2, 0)
-        return b.append_column(out_col, leadv).append_column(
-            "_edge", pa.array(edge.astype(np.int8))
-        )
-
-    marked = (
-        ds.sort([key] + order_cols)
-        .map_batches(per_block, batch_format="pyarrow", batch_size=None)
-        .materialize()
+    return _key_window(
+        ds, key=key, order_cols=order_cols, out_col=out_col, reach=d, ahead=True,
+        values=_shift(value_col, -d),
     )
-    done = marked.map_batches(
-        lambda b: b.filter(pc.equal(pc.bit_wise_and(b["_edge"], 1), 0)).drop_columns(
-            ["_edge"]
-        ),
-        batch_format="pyarrow",
-    )
-    edge_parts = [
-        b.filter(pc.greater(b["_edge"], 0))
-        for b in marked.iter_batches(batch_size=None, batch_format="pyarrow")
-    ]
-    edge_parts = [b for b in edge_parts if b.num_rows]
-    if not edge_parts:
-        return done
-    et = pa.concat_tables(edge_parts, promote_options="default").combine_chunks()
-    et = et.sort_by([(key, "ascending")] + [(c, "ascending") for c in order_cols])
-    k = et[key].to_numpy(zero_copy_only=False)
-    flags = et["_edge"].to_numpy(zero_copy_only=False)
-    starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-    run_end = np.repeat(np.r_[starts[1:], len(k)], np.r_[starts[1:], len(k)] - starts)
-    j = np.arange(len(k))
-    src = j + d
-    valid = src < run_end
-    leadv = et[value_col].take(pa.array(np.where(valid, src, 0)))
-    leadv = pc.if_else(pa.array(valid), leadv, pa.nulls(len(k), et[value_col].type))
-    fixed = (
-        et.set_column(et.schema.get_field_index(out_col), out_col, leadv)
-        .filter(pa.array((flags == 1) | (flags == 3)))
-        .drop_columns(["_edge"])
-    )
-    return done.union(rd.from_arrow(fixed))

@@ -82,6 +82,21 @@ def make_bin(inputs: list[str], partition: str, entries_by_path: dict, params: s
     }
 
 
+def pack_bins(paths, by_path: dict, cap: int) -> list[list[str]]:
+    """Greedy byte-capped bins over ``paths`` in sorted order: a file joins
+    the current bin unless that would push the bin past ``cap`` bytes (a
+    file larger than ``cap`` gets a bin of its own)."""
+    bins: list[list[str]] = []
+    cur_bytes = 0
+    for p in sorted(paths):
+        if not bins or cur_bytes + by_path[p]["bytes"] > cap:
+            bins.append([])
+            cur_bytes = 0
+        bins[-1].append(p)
+        cur_bytes += by_path[p]["bytes"]
+    return bins
+
+
 class FailInjected(RuntimeError):
     """Raised by tests to simulate a mid-job crash."""
 

@@ -18,6 +18,7 @@ from e2e_ocsf_cyber_lakehouse_blueprint_ray.stages import (
     changes as changes_mod,
     compact as compact_mod,
     delete as delete_mod,
+    expire as expire_mod,
     merge as merge_mod,
 )
 from e2e_ocsf_cyber_lakehouse_blueprint_ray.state import lineage, manifest
@@ -175,13 +176,20 @@ def test_delete_where_drops_contained_files_without_rewrite(tmp_table_dir, ray_s
     assert sorted_scan(t).equals(expected)
 
 
-def test_changes_and_compact_across_schema_evolution(tmp_table_dir, ray_session):
+@pytest.mark.parametrize("path", ["driver", "distributed"])
+def test_changes_and_compact_across_schema_evolution(
+    tmp_table_dir, ray_session, monkeypatch, path
+):
     """mergeSchema end-to-end: evolve the table with a new column, compact
     the MIXED-schema file set, and diff across the evolution — carried old
     rows (null-filled) must cancel; only the evolved wave surfaces."""
     import ray.data as rd
 
     from e2e_ocsf_cyber_lakehouse_blueprint_ray.schema import TRANSCRIPT
+
+    if path == "distributed":
+        monkeypatch.setattr(changes_mod, "PARTIAL_DRIVER_MAX_ROWS", 10)
+        monkeypatch.setattr(changes_mod, "SUBSET_DRIVER_MAX_ROWS", 10)
 
     data = synth.transcripts(0.001)
     t = make_table(tmp_table_dir, data)
@@ -237,6 +245,19 @@ def test_changes_distributed_fallback_paths(tmp_table_dir, ray_session, monkeypa
     b, a = _row_keys(before), _row_keys(after)
     assert _row_keys(added) == a - b and added.num_rows == len(a - b)
     assert _row_keys(removed) == b - a and removed.num_rows == len(b - a)
+
+
+def test_feed_from_expired_snapshot_names_it(tmp_table_dir, ray_session):
+    """A start snapshot that expiry deleted is a clear error naming it and
+    the oldest retained snapshot, raised before any file is read."""
+    data = synth.transcripts(0.001)
+    t = make_table(tmp_table_dir, data)
+    old = t.current_snapshot_id()
+    merge_mod.merge(t, derive.derived_merge_source(sorted_scan(t)))
+    expire_mod.expire_snapshots(t, keep_last=1)
+    cur = t.current_snapshot_id()
+    with pytest.raises(ValueError, match=rf"snapshot {old} .*oldest retained snapshot is {cur}"):
+        changes_mod.snapshot_changes(t, old, cur)
 
 
 def test_delete_resume_after_crash(tmp_table_dir, ray_session):
@@ -340,10 +361,23 @@ def _merge_resumed(t, data):
     return pre
 
 
+def _expired_inside_range(t, data):
+    """Expiry keeps the pinned start but drops the snapshots between it and
+    the end: the feed diffs the two ends' manifests as whole files, so the
+    rows the compaction carried over must cancel."""
+    pre = _merge_compact_merge(t, data)
+    expire_mod.expire_snapshots(t, keep_last=1, pin={pre})
+    assert manifest.list_snapshot_ids(t.dir) == [pre, t.current_snapshot_id()]
+    items = changes_mod.change_files(t, pre, t.current_snapshot_id())
+    assert {i[1] for i in items} == {manifest.WHOLE_REMOVED, manifest.WHOLE_ADDED}
+    return pre
+
+
 @pytest.mark.parametrize(
     "scenario",
     [
         _merge_compact_merge,
+        _expired_inside_range,
         _noop_update,
         _delete_contained_and_straddling,
         _merge_rollback_merge,

@@ -1,6 +1,8 @@
 """Training-data operators: text analysis, dedup family, similarity,
 multimodal plumbing — over the driver testdata tables."""
 
+import dataclasses
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -153,6 +155,41 @@ def test_exact_dedup_with_planted_dupes(ray_session):
     out = dedup.exact_dedup(rd.from_arrow(base), config=CONF).take_all()
     got = {r["text"]: (r["doc_id"], r["dupes"]) for r in out}
     assert got == {"aa": (1, 2), "bb": (2, 2), "cc": (4, 1)}
+
+
+def test_exact_dedup_hot_text_spans_blocks(ray_session):
+    """A text duplicated across at least three sorted blocks: a block in the
+    middle of its run holds that run alone, and the driver fix-up must merge
+    the block partials into one min-id survivor with the full count."""
+    import ray.data as rd
+
+    rng = np.random.default_rng(5)
+    n = 4000
+    hot = rng.random(n) < 0.7
+    texts = [("hot" if h else f"t{i % 300}") for i, h in enumerate(hot)]
+    base = pa.table(
+        {"doc_id": pa.array(rng.permutation(n) + 10, pa.int64()), "text": pa.array(texts)}
+    )
+    # 8 blocks of 500 rows; the hash stage keeps them apart (its batch size
+    # is one block) and the sort emits as many blocks as it reads
+    ds = rd.from_arrow(base).repartition(8)
+    conf = dataclasses.replace(CONF, batch_size=500)
+    # the premise: the hot run covers whole sorted blocks, three or more
+    blocks = list(
+        ds.map_batches(dedup.add_content_hash, batch_format="pyarrow", batch_size=500)
+        .sort(["_h", "text", "doc_id"])
+        .iter_batches(batch_size=None, batch_format="pyarrow")
+    )
+    with_hot = [set(b["text"].to_pylist()) for b in blocks if "hot" in b["text"].to_pylist()]
+    assert len(with_hot) >= 3 and {"hot"} in with_hot
+
+    out = pa.Table.from_pylist(dedup.exact_dedup(ds, config=conf).take_all())
+    want = base.group_by("text").aggregate([("doc_id", "min"), ("doc_id", "count")])
+    got = {r["text"]: (r["doc_id"], r["dupes"]) for r in out.to_pylist()}
+    assert out.num_rows == len(got) == want.num_rows
+    assert got == {
+        r["text"]: (r["doc_id_min"], r["doc_id_count"]) for r in want.to_pylist()
+    }
 
 
 def test_incremental_exact_dedup(ray_session):
