@@ -32,7 +32,6 @@ SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 CORES_AVAILABLE = len(os.sched_getaffinity(0))
 TOTAL_RAM_MB = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2**20
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", CORES_AVAILABLE))
-CACHE = "/tmp/lakeray/bench-cache"
 
 BENCH_QUERIES = [
     "q01_pricing_summary",
@@ -54,12 +53,16 @@ def sf_value() -> float:
 
 
 def cached_transcripts(sf: float):
-    """Returns (base_parquet_path, merge_source_table, n_rows)."""
+    """Returns (base_parquet_path, merge_source_table, n_rows), cached in
+    ``bench-cache`` under the engine's scratch dir (``ENGINE_SCRATCH``)."""
     import pyarrow.parquet as pq
 
-    os.makedirs(CACHE, exist_ok=True)
-    path = f"{CACHE}/transcripts-sf{sf}.parquet"
-    src_path = f"{CACHE}/merge-src-sf{sf}.parquet"
+    from e2e_ocsf_cyber_lakehouse_blueprint_ray.config import scratch_dir
+
+    cache = os.path.join(scratch_dir(), "bench-cache")
+    os.makedirs(cache, exist_ok=True)
+    path = f"{cache}/transcripts-sf{sf}.parquet"
+    src_path = f"{cache}/merge-src-sf{sf}.parquet"
     if not (os.path.exists(path) and os.path.exists(src_path)):
         from e2e_ocsf_cyber_lakehouse_blueprint_ray import synth
 

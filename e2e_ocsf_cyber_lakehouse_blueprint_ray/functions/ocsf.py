@@ -1,26 +1,41 @@
-"""Gold OCSF transforms (operators M3+M4): 15 DISTINCT per-class flows =
-3 sources × 5 classes.
+"""Gold OCSF transforms (operators M3+M4): 15 (source, class) flows over
+3 sources × 6 classes, run by ONE generic projection.
 
-Spec-driven re-expression of the reference's 15 ``transform_<source>_to_
-<class>`` functions (/root/reference/transformations/mappings/ocsf/iam/
+Re-expression of the reference's 15 ``transform_<source>_to_<class>``
+functions (reference transformations/mappings/ocsf/iam/
 gold_github_audit_logs.py, gold_slack_audit_logs.py,
-gold_atlassian_audit_logs.py) — each with ITS OWN severity / activity /
-status CASE chains, message synthesis, resource / privileges / group /
-src_endpoint / dst_endpoint structures and unmapped layout, transcribed
-line-for-line (file:line cited at each site below). Each transform is ONE
-fused map_batches callable: the action-regex row filter (M3 — regexes copied
-verbatim from the reference ``.where("action RLIKE ...")`` lines) plus the
-wide nested OCSF projection (M4) built with the vectorized builders in
-expr.py (``pc.case_when`` chains, ``pa.StructArray``/``pa.ListArray``/
-``pa.MapArray`` for ``named_struct``/``array``/``map``).
+gold_atlassian_audit_logs.py; file:line cited at each site below). Each
+transform is ONE fused map_batches callable: the action-regex row filter (M3
+— regexes copied verbatim from the reference ``.where("action RLIKE ...")``
+lines) plus the wide nested OCSF projection (M4) built with the vectorized
+builders in expr.py.
+
+Every fact the 15 reference functions share is stated once here:
+
+- the head: passthrough meta, the ``metadata`` struct, category/class
+  constants and ``time``;
+- names from ids: ``severity`` from ``SEVERITY``, ``activity_name`` from the
+  class's ``activity_names`` table (any other id is "Other");
+- ``status``: a flow's status kind is ``failed`` ('%failed%' → 2) or
+  ``const`` (1), and ``status`` is "Failure" iff ``status_id = 2``;
+- per source (``_SOURCES``): the ``actor`` columns and the context
+  enrichments before the closing 'source' item; ``actor`` takes the source's
+  type CASE except in authentication, which uses the plain 'User'/1;
+- per flow (``_Flow``, registered by ``@_flow``): its status kind, its
+  observables as (name, type, value column) rows with ``type_id`` from
+  ``OBSERVABLE_TYPE_IDS``, its ``unmapped`` fields (``raw_data`` always
+  last) and, for atlassian, its enrichment parameters.
+
+What truly differs per flow stays code: one small function per flow returns
+its severity and activity CASE chains plus its own structs (``message``,
+``user``, ``resource``, ``privileges``, ``group``, ``src_endpoint``,
+``dst_endpoint``, ``auth_protocol*``).
 
 Because the 6 sinks are multi-source (mergeSchema sinks,
 gold_ocsf_iam_event_classes_delta_sinks.py:94-124) and the per-source
-projections for one class differ (e.g. message present for account_change
-only, atlassian-only enrichment maps, per-source unmapped structs), every
-transform aligns its output to the per-class UNION schema
-(``class_schema``) — recursively null-filling absent columns and struct
-subfields — which is exactly the table shape Delta mergeSchema converges to.
+projections for one class differ, every transform aligns its output to the
+per-class UNION schema (``class_schema``) with ``table.align_to`` — which is
+exactly the table shape Delta mergeSchema converges to.
 
 Constants (uids 3001-3006, category 3, OCSF 1.7.0) from
 /root/reference/utilities/utils.py:70-81.
@@ -29,11 +44,13 @@ Constants (uids 3001-3006, category 3, OCSF 1.7.0) from
 from __future__ import annotations
 
 import functools
+from typing import Callable, NamedTuple
 
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from .. import expr
+from ..table import align_to
 
 OCSF_VERSION = "1.7.0"
 OCSF_CATEGORY_UID = 3
@@ -96,6 +113,27 @@ CLASS_REGEX = {
     ("atlassian", "group_management"): r"group\.(member_added|member_removed|created|deleted)",
 }
 
+#: severity_id → severity: every reference severity CASE names its ids from
+#: this OCSF table (e.g. gold_github_audit_logs.py:60, gold_atlassian:63,238)
+SEVERITY = {1: "Informational", 2: "Low", 3: "Medium", 4: "High"}
+
+#: observable type → type_id (gold_github_audit_logs.py:89-92 and twins)
+OBSERVABLE_TYPE_IDS = {
+    "User Name": 4,
+    "IP Address": 2,
+    "Email Address": 5,
+    "Resource Name": 10,
+    "Group Name": 21,
+}
+
+
+def activity_names(ocsf_class: str) -> dict[int, str]:
+    """activity_id → activity_name for a class; any other id is "Other"
+    (e.g. gold_github_audit_logs.py:67,138,205,331)."""
+    if ocsf_class == "authentication":
+        return {1: "Logon", 2: "Logoff"}
+    return {1: "Create", 3: "Update", 4: "Delete", 5: "Add", 6: "Remove"}
+
 
 def flows() -> list[tuple[str, str]]:
     """The 15 (source, class) append flows
@@ -133,8 +171,10 @@ class _Ctx:
             return pc.cast(c, typ) if typ is not None and c.type != typ else c
         return expr.nulls(self.n, typ or pa.string())
 
-    def s(self, name: str) -> pa.Array:
-        """String-cast column."""
+    def s(self, name: str | tuple[str, ...]) -> pa.Array:
+        """String-cast column; a tuple of names is their COALESCE."""
+        if isinstance(name, tuple):
+            return pc.coalesce(*map(self.s, name))
         return self.a(name, pa.string())
 
     def lit(self, v, typ=None) -> pa.Array:
@@ -197,52 +237,9 @@ def _head(c: _Ctx, source: str, ocsf_class: str) -> dict[str, pa.Array]:
     }
 
 
-def _sev_names(sev_id: pa.Array, mapping: list[tuple[int, str]], default: str) -> pa.Array:
+def _names(ids: pa.Array, table: dict[int, str]) -> pa.Array:
     return expr.case_when(
-        [(pc.equal(sev_id, i), name) for i, name in mapping], default, pa.string()
-    )
-
-
-def _status_failed(c: _Ctx) -> tuple[pa.Array, pa.Array]:
-    """status_id/status from '%failed%' (gold_github_audit_logs.py:68-69)."""
-    f = c.like("%failed%")
-    return (
-        expr.case_when([(f, 2)], 1, pa.int32()),
-        expr.case_when([(f, "Failure")], "Success", pa.string()),
-    )
-
-
-def _status_const(c: _Ctx) -> tuple[pa.Array, pa.Array]:
-    """``1 as status_id, 'Success' as status`` (gold_github_audit_logs.py:206-207)."""
-    return c.lit(1, pa.int32()), c.lit("Success")
-
-
-def _user7(
-    c: _Ctx,
-    uid,
-    name,
-    *,
-    type_=None,
-    type_id=None,
-    email=None,
-    domain=None,
-    uid_alt=None,
-    mask: pa.Array | None = None,
-) -> pa.StructArray:
-    """The 7-field OCSF user struct (gold_github_audit_logs.py:87-88);
-    ``mask`` implements ``CASE WHEN x IS NOT NULL THEN named_struct(...) END``
-    (gold_github_audit_logs.py:218)."""
-    return expr.named_struct(
-        {
-            "uid": uid,
-            "name": name,
-            "type": type_ if type_ is not None else c.lit("User"),
-            "type_id": type_id if type_id is not None else c.lit(1, pa.int32()),
-            "email_addr": email if email is not None else c.nulls(pa.string()),
-            "domain": domain if domain is not None else c.nulls(pa.string()),
-            "uid_alt": uid_alt if uid_alt is not None else c.nulls(pa.string()),
-        },
-        mask=mask,
+        [(pc.equal(ids, i), name) for i, name in table.items()], "Other", pa.string()
     )
 
 
@@ -259,180 +256,738 @@ USER_STRUCT_T = pa.struct(
 )
 
 
-def _obs(c: _Ctx, name: str, typ: str, type_id: int, value) -> pa.StructArray:
-    """observables item (gold_github_audit_logs.py:89-92)."""
+def _user(c: _Ctx, fields: dict[str, pa.Array], mask: pa.Array | None = None) -> pa.StructArray:
+    """The 7-field OCSF user struct (gold_github_audit_logs.py:87-88): type
+    'User' / type_id 1 unless given, other absent fields NULL; ``mask``
+    implements ``CASE WHEN x IS NOT NULL THEN named_struct(...) END``
+    (gold_github_audit_logs.py:218)."""
+    fields = {"type": c.lit("User"), "type_id": c.lit(1, pa.int32()), **fields}
     return expr.named_struct(
-        {
-            "name": c.lit(name),
-            "type": c.lit(typ),
-            "type_id": c.lit(type_id, pa.int32()),
-            "value": value,
-        }
+        {f.name: fields[f.name] if f.name in fields else c.nulls(f.type) for f in USER_STRUCT_T},
+        mask=mask,
     )
 
 
-def _enr(c: _Ctx, name: str, value, typ: str, data=None) -> pa.StructArray:
-    """enrichments item (gold_github_audit_logs.py:93-96); ``data`` None ⇒
-    ``CAST(NULL AS MAP<STRING,STRING>)``."""
-    return expr.named_struct(
-        {
-            "name": c.lit(name),
-            "value": value,
-            "type": c.lit(typ),
-            "data": data if data is not None else expr.null_map(c.n),
-        }
-    )
+class _Source(NamedTuple):
+    #: actor.user field → silver column
+    actor: dict[str, str]
+    #: context enrichments (name, value column, type, {map key: column} or
+    #: None for a NULL map), before the closing 'source' item
+    enrich: tuple
 
 
-def _enrich_github(c: _Ctx) -> pa.ListArray:
-    """gold_github_audit_logs.py:93-96 (same in all 5 github transforms)."""
-    return expr.struct_array_literal(
-        [
-            _enr(c, "organization", c.s("organization"), "context"),
-            _enr(c, "source", c.lit("github"), "source_system"),
-        ]
-    )
+_SOURCES = {
+    # actor :87, enrichments :93-96 (same in all 5 github transforms)
+    "github": _Source(
+        actor={"uid": "actor", "name": "actor", "email_addr": "email", "domain": "organization"},
+        enrich=(("organization", "organization", "context", None),),
+    ),
+    # actor :83-93, enrichments :99-102 (same in all 5 slack transforms)
+    "slack": _Source(
+        actor={"uid": "actor_id", "name": "actor_name", "email_addr": "actor_email",
+               "domain": "location_domain"},
+        enrich=(("workspace", "location_domain", "context", None),),
+    ),
+    # actor :75-85 (uid_alt = actor_link); enrichments :91-95 and :188-192,
+    # the other three atlassian flows pass their own in the flow spec
+    "atlassian": _Source(
+        actor={"uid": "actor_id", "name": "actor_name", "email_addr": "actor_email",
+               "uid_alt": "actor_link"},
+        enrich=(
+            ("auth_type", "auth_type", "authentication",
+             {"session_id": "session_id", "token_id": "token_id"}),
+            ("risk_assessment", "risk_level", "risk", {"score": "risk_score", "level": "risk_level"}),
+        ),
+    ),
+}
 
 
-def _enrich_slack(c: _Ctx) -> pa.ListArray:
-    """gold_slack_audit_logs.py:99-102 (same in all 5 slack transforms)."""
-    return expr.struct_array_literal(
-        [
-            _enr(c, "workspace", c.s("location_domain"), "context"),
-            _enr(c, "source", c.lit("slack"), "source_system"),
-        ]
-    )
-
-
-def _actor_github(c: _Ctx) -> pa.StructArray:
-    """gold_github_audit_logs.py:87 (identical in all 5 github transforms)."""
-    return expr.named_struct(
-        {
-            "user": _user7(
-                c, c.s("actor"), c.s("actor"),
-                email=c.s("email"), domain=c.s("organization"),
-            )
-        }
-    )
-
-
-def _actor_slack(c: _Ctx, *, cased: bool = True) -> pa.StructArray:
-    """gold_slack_audit_logs.py:83-93; authentication uses the plain
-    'User'/1 variant (:147-157)."""
-    if cased:
+def _actor(c: _Ctx, source: str, plain: bool) -> pa.StructArray:
+    """actor {user}. slack's type CASE is gold_slack_audit_logs.py:88-89,
+    atlassian's gold_atlassian_audit_logs.py:80-81; github and every
+    authentication flow use the plain 'User'/1 (gold_github_audit_logs.py:87,
+    gold_slack_audit_logs.py:147-157, gold_atlassian_audit_logs.py:150-160)."""
+    user = {k: c.s(col) for k, col in _SOURCES[source].actor.items()}
+    if not plain and source == "slack":
         at = c.s("actor_type")
-        typ = expr.case_when(
-            [(pc.equal(at, "bot"), "System"), (pc.equal(at, "service"), "Service")],
-            "User", pa.string(),
-        )
-        tid = expr.case_when(
-            [(pc.equal(at, "bot"), 3), (pc.equal(at, "service"), 3)], 1, pa.int32()
-        )
-    else:
-        typ, tid = c.lit("User"), c.lit(1, pa.int32())
-    return expr.named_struct(
-        {
-            "user": _user7(
-                c, c.s("actor_id"), c.s("actor_name"),
-                type_=typ, type_id=tid,
-                email=c.s("actor_email"), domain=c.s("location_domain"),
-            )
-        }
-    )
-
-
-def _actor_atlassian(c: _Ctx, *, cased: bool = True) -> pa.StructArray:
-    """gold_atlassian_audit_logs.py:75-85; authentication uses the plain
-    'User'/1 variant (:150-160). uid_alt = actor_link."""
-    if cased:
+        bot, service = pc.equal(at, "bot"), pc.equal(at, "service")
+        user["type"] = expr.case_when([(bot, "System"), (service, "Service")], "User", pa.string())
+        user["type_id"] = expr.case_when([(bot, 3), (service, 3)], 1, pa.int32())
+    elif not plain and source == "atlassian":
         api = pc.equal(c.s("auth_type"), "api-token")
-        typ = expr.case_when([(api, "System")], "User", pa.string())
-        tid = expr.case_when([(api, 3)], 1, pa.int32())
-    else:
-        typ, tid = c.lit("User"), c.lit(1, pa.int32())
-    return expr.named_struct(
-        {
-            "user": _user7(
-                c, c.s("actor_id"), c.s("actor_name"),
-                type_=typ, type_id=tid,
-                email=c.s("actor_email"), uid_alt=c.s("actor_link"),
-            )
-        }
-    )
+        user["type"] = expr.case_when([(api, "System")], "User", pa.string())
+        user["type_id"] = expr.case_when([(api, 3)], 1, pa.int32())
+    return expr.named_struct({"user": _user(c, user)})
 
 
-def _risk_ge(c: _Ctx, threshold: int) -> pa.Array:
-    """``risk_score >= N`` with SQL null semantics (risk thresholds,
-    gold_atlassian_audit_logs.py:57-62)."""
-    return pc.greater_equal(c.a("risk_score", pa.int32()), threshold)
-
-
-def _enrich_atlassian(c: _Ctx, *, token_id: bool, risk_level_in_map: bool,
-                      source_map: dict | None) -> pa.ListArray:
-    """The 3-item atlassian enrichment array (gold_atlassian_audit_logs.py:
-    91-95 account_change, :188-192 authentication, :264-268 authorize)."""
-    auth_data = {"session_id": c.s("session_id")}
-    if token_id:
-        auth_data["token_id"] = c.s("token_id")
-    risk_data = {"score": c.s("risk_score")}
-    if risk_level_in_map:
-        risk_data["level"] = c.s("risk_level")
+def _enrichments(c: _Ctx, source: str, items: tuple, source_map: dict | None) -> pa.ListArray:
+    """enrichments (gold_github_audit_logs.py:93-96): the context items, then
+    the 'source' source_system item; a None map is
+    ``CAST(NULL AS MAP<STRING,STRING>)``."""
+    rows = [(name, c.s(col), typ, m) for name, col, typ, m in items]
+    rows.append(("source", c.lit(source), "source_system", source_map))
     return expr.struct_array_literal(
         [
-            _enr(c, "auth_type", c.s("auth_type"), "authentication",
-                 expr.map_literal(auth_data, c.n)),
-            _enr(c, "risk_assessment", c.s("risk_level"), "risk",
-                 expr.map_literal(risk_data, c.n)),
-            _enr(c, "source", c.lit("atlassian"), "source_system",
-                 expr.map_literal(source_map, c.n) if source_map is not None
-                 else expr.null_map(c.n)),
+            expr.named_struct(
+                {
+                    "name": c.lit(name),
+                    "value": value,
+                    "type": c.lit(typ),
+                    "data": (
+                        expr.map_literal({k: c.s(v) for k, v in m.items()}, c.n)
+                        if m is not None else expr.null_map(c.n)
+                    ),
+                }
+            )
+            for name, value, typ, m in rows
         ]
     )
 
 
+def _observables(c: _Ctx, rows: tuple) -> pa.ListArray:
+    """observables (gold_github_audit_logs.py:89-92)."""
+    return expr.struct_array_literal(
+        [
+            expr.named_struct(
+                {
+                    "name": c.lit(name),
+                    "type": c.lit(typ),
+                    "type_id": c.lit(OBSERVABLE_TYPE_IDS[typ], pa.int32()),
+                    "value": c.s(col),
+                }
+            )
+            for name, typ, col in rows
+        ]
+    )
+
+
+def _unmapped(c: _Ctx, source: str, fields: tuple) -> pa.StructArray:
+    """unmapped: the flow's fields, then ``raw_data`` = to_json(data)
+    (gold_github_audit_logs.py:97); field 'source' is the literal source
+    name (gold_atlassian_audit_logs.py:436)."""
+    out = {f: c.lit(source) if f == "source" else c.s(f) for f in fields}
+    out["raw_data"] = c.s("data")
+    return expr.named_struct(out)
+
+
 # ---------------------------------------------------------------------------
-# per-class union schemas + alignment (the mergeSchema end-state)
+# the per-flow spec and code
 # ---------------------------------------------------------------------------
 
 
-def _align_array(arr: pa.Array, typ: pa.DataType) -> pa.Array:
-    if arr.type == typ:
-        return arr
-    if pa.types.is_struct(typ) and pa.types.is_struct(arr.type):
-        children, names = [], []
-        have = {f.name: i for i, f in enumerate(arr.type)}
-        for sub in typ:
-            names.append(sub.name)
-            if sub.name in have:
-                children.append(_align_array(arr.field(sub.name), sub.type))
-            else:
-                children.append(pa.nulls(len(arr), sub.type))
-        null_mask = pc.is_null(arr).to_numpy(zero_copy_only=False)
-        if null_mask.any():
-            return pa.StructArray.from_arrays(children, names, mask=pa.array(null_mask))
-        return pa.StructArray.from_arrays(children, names)
-    if pa.types.is_list(typ) and pa.types.is_list(arr.type):
-        values = _align_array(arr.values, typ.value_type)
-        null_mask = pc.is_null(arr).to_numpy(zero_copy_only=False)
-        if null_mask.any():
-            return pa.ListArray.from_arrays(arr.offsets, values, mask=pa.array(null_mask))
-        return pa.ListArray.from_arrays(arr.offsets, values)
-    return arr.cast(typ)
+class _Flow(NamedTuple):
+    #: c -> (severity_id, activity_id, {per-flow column: array})
+    parts: Callable
+    #: "failed" ('%failed%' → 2, else 1) or "const" (1)
+    status: str
+    #: (name, observable type, value column or COALESCE tuple)
+    observables: tuple
+    #: unmapped fields before raw_data
+    unmapped: tuple = ()
+    #: context enrichment items; None = the source's
+    enrich: tuple | None = None
+    #: map of the 'source' enrichment item; None = a NULL map
+    source_map: dict | None = None
 
 
-def align_to(t: pa.Table, schema: pa.Schema) -> pa.Table:
-    """Conform a transform's output to the per-class union schema: absent
-    columns become typed nulls; structs gain null subfields recursively
-    (what Delta mergeSchema does to old files on read)."""
-    cols = []
-    for f in schema:
-        if f.name in t.schema.names:
-            col = t[f.name]
-            col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-            cols.append(_align_array(col, f.type))
-        else:
-            cols.append(pa.nulls(t.num_rows, f.type))
-    return pa.Table.from_arrays(cols, schema=schema)
+_FLOWS: dict[tuple[str, str], _Flow] = {}
+
+
+def _flow(source: str, ocsf_class: str, status: str, observables, **spec):
+    def register(fn):
+        _FLOWS[(source, ocsf_class)] = _Flow(fn, status, tuple(observables), **spec)
+        return fn
+
+    return register
+
+
+def _risk(c: _Ctx, score: int, level: str) -> pa.Array:
+    """``risk_score >= N OR risk_level = 'level'`` with SQL null semantics
+    (risk thresholds, gold_atlassian_audit_logs.py:57-62)."""
+    return _OR(
+        pc.greater_equal(c.a("risk_score", pa.int32()), score),
+        pc.equal(c.s("risk_level"), level),
+    )
+
+
+# -- github (gold_github_audit_logs.py) -------------------------------------
+
+_GH_ACTOR_OBS = ("actor", "User Name", "actor")
+_GH_TARGET = ("target_login", "user")
+
+
+@_flow("github", "account_change", "failed",  # :68-69
+       [_GH_ACTOR_OBS, ("target_user", "User Name", _GH_TARGET)])  # :89-92
+def _github_account_change(c: _Ctx):
+    """gold_github_audit_logs.py:22-99."""
+    sev_id = expr.case_when(
+        # :55-60
+        [
+            (_OR(c.like("%delete%"), c.like("%suspend%")), 4),
+            (_OR(c.like("%create%"), c.like("%update%")), 2),
+        ],
+        1, pa.int32(),
+    )
+    act_id = expr.case_when(
+        # :61-67
+        [
+            (c.like("%created"), 1),
+            (_OR(c.like("%updated"), c.like("%renamed")), 3),
+            (c.like("%deleted"), 4),
+        ],
+        99, pa.int32(),
+    )
+    target = c.s(_GH_TARGET)
+    # message :71-86
+    verb = expr.case_when(
+        [
+            (c.like("%add_member"), "added to"),
+            (c.like("%remove_member"), "removed from"),
+            (c.like("%update_member"), "updated in"),
+        ],
+        None, pa.string(),
+    )
+    verb = pc.coalesce(verb, c.action)
+    entity = expr.case_when(
+        [
+            (c.like("org.%"), c.lit("organization")),
+            (c.like("team.%"), expr.concat("team ", pc.coalesce(c.s("team"), c.lit("unknown")))),
+            (c.like("repo.%"), expr.concat("repository ", pc.coalesce(c.s("repository"), c.lit("unknown")))),
+        ],
+        "entity", pa.string(),
+    )
+    message = expr.concat(
+        "GitHub member ", verb, " ", entity, ": ", pc.coalesce(target, c.s("actor"))
+    )
+    return sev_id, act_id, {
+        "message": message,
+        "user": _user(c, {"uid": target, "name": target}),  # :88
+    }
+
+
+@_flow("github", "authentication", "failed",
+       [_GH_ACTOR_OBS, ("src_ip", "IP Address", "actor_ip")])  # :156-159
+def _github_authentication(c: _Ctx):
+    """gold_github_audit_logs.py:102-166."""
+    sev_id = expr.case_when([(c.like("%failed%"), 4)], 1, pa.int32())  # :135-136
+    act_id = expr.case_when(
+        # :137-138
+        [
+            (_OR(c.like("%login"), c.like("oauth_authorization.create")), 1),
+            (_OR(c.like("%logout"), c.like("oauth_authorization.destroy")), 2),
+        ],
+        99, pa.int32(),
+    )
+    is_oauth = c.like("%oauth%")
+    return sev_id, act_id, {
+        "src_endpoint": expr.named_struct(  # :143-146
+            {
+                "ip": c.s("actor_ip"),
+                "location": expr.named_struct(
+                    {
+                        "city": c.s("actor_city"),
+                        "region": c.s("actor_region"),
+                        "country": c.s("actor_country"),
+                        # CAST(NULL AS ARRAY<DOUBLE>)
+                        "coordinates": c.nulls(pa.list_(pa.float64())),
+                    }
+                ),
+            }
+        ),
+        "auth_protocol": expr.case_when([(is_oauth, "OAuth")], "Password", pa.string()),  # :147-150
+        "auth_protocol_id": expr.case_when([(is_oauth, 2)], 1, pa.int32()),  # :151-154
+        "dst_endpoint": expr.named_struct(  # :155
+            {"hostname": c.lit("github.com"), "name": c.lit("GitHub")}
+        ),
+    }
+
+
+@_flow("github", "authorize_session", "const",  # :206-207
+       [_GH_ACTOR_OBS, ("repository", "Resource Name", "repository")])  # :219-222
+def _github_authorize_session(c: _Ctx):
+    """gold_github_audit_logs.py:169-229."""
+    sev_id = expr.case_when(
+        [(c.like("%remove%"), 3), (c.like("%add%"), 2)], 1, pa.int32()  # :202-203
+    )
+    act_id = expr.case_when(
+        [(c.like("%add%"), 5), (c.like("%remove%"), 6)], 99, pa.int32()  # :204-205
+    )
+    repo = c.s("repository")
+    org = c.s("organization")
+    return sev_id, act_id, {
+        "resource": expr.named_struct(  # :210-216
+            {
+                "uid": pc.coalesce(repo, org),
+                "name": pc.coalesce(repo, org),
+                "type": expr.case_when(
+                    [(pc.is_valid(repo), "Repository")], "Organization", pa.string()
+                ),
+                "owner": expr.named_struct({"name": org}),
+                "data": expr.map_literal({"ref": c.s("ref"), "visibility": c.s("visibility")}, c.n),
+            }
+        ),
+        # :217 privileges = permission present ? array(permission) : NULL
+        "privileges": expr.single_item_list(c.s("permission"), mask=pc.is_valid(c.s("permission"))),
+        # :218 nullable user via validity mask on target_login
+        "user": _user(
+            c, {"uid": c.s("target_login"), "name": c.s("target_login")},
+            mask=pc.is_valid(c.s("target_login")),
+        ),
+    }
+
+
+@_flow("github", "user_access", "const",
+       [_GH_ACTOR_OBS, ("target_user", "User Name", _GH_TARGET)])  # :276-279
+def _github_user_access(c: _Ctx):
+    """gold_github_audit_logs.py:232-286."""
+    sev_id = expr.case_when(
+        [(c.like("%remove%"), 3), (c.like("%add%"), 2)], 1, pa.int32()  # :265-266
+    )
+    act_id = expr.case_when(
+        [(c.like("%add%"), 5), (c.like("%remove%"), 6), (c.like("%update%"), 3)],
+        99, pa.int32(),  # :267-268
+    )
+    target = c.s(_GH_TARGET)
+    org = c.s("organization")
+    return sev_id, act_id, {
+        "user": _user(c, {"uid": target, "name": target}),  # :273
+        "resource": expr.named_struct(  # :274
+            {
+                "uid": org,
+                "name": org,
+                "type": c.lit("Organization"),
+                "owner": expr.named_struct({"name": org}),
+                "data": expr.null_map(c.n),
+            }
+        ),
+        # :275 permission present ? array(permission) : array('member')
+        "privileges": expr.single_item_list(pc.coalesce(c.s("permission"), c.lit("member"))),
+    }
+
+
+@_flow("github", "group_management", "const",
+       [_GH_ACTOR_OBS, ("team", "Group Name", "team")])  # :338-341
+def _github_group_management(c: _Ctx):
+    """gold_github_audit_logs.py:289-348."""
+    sev_id = expr.case_when(
+        [(c.like("%destroy%"), 3), (c.like("%create%"), 2)], 1, pa.int32()  # :322-323
+    )
+    act_id = expr.case_when(
+        # :324-331
+        [
+            (c.like("%create"), 1),
+            (c.like("%destroy"), 4),
+            (c.like("%add_member"), 5),
+            (c.like("%remove_member"), 6),
+        ],
+        99, pa.int32(),
+    )
+    team = c.s("team")
+    return sev_id, act_id, {
+        "group": expr.named_struct({"uid": team, "name": team, "type": c.lit("Team")}),  # :336
+        "user": _user(
+            c, {"uid": c.s("target_login"), "name": c.s("target_login")},
+            mask=pc.is_valid(c.s("target_login")),
+        ),  # :337
+    }
+
+
+# -- slack (gold_slack_audit_logs.py) ---------------------------------------
+
+_SL_ACTOR_OBS = ("actor_id", "User Name", "actor_id")
+_SL_UNMAPPED = ("entity_type",)  # :103 (same in all 5 slack transforms)
+
+
+@_flow("slack", "account_change", "const",
+       [_SL_ACTOR_OBS, ("target_user", "User Name", "entity_id")],  # :95-98
+       unmapped=_SL_UNMAPPED)
+def _slack_account_change(c: _Ctx):
+    """gold_slack_audit_logs.py:22-105."""
+    sev_id = expr.case_when(
+        # :55-60
+        [
+            (c.like("%deactivated%"), 4),
+            (_OR(c.like("%created%"), c.like("%reactivated%")), 2),
+        ],
+        1, pa.int32(),
+    )
+    act_id = expr.case_when(
+        # :61-67
+        [
+            (c.like("%created"), 1),
+            (_OR(c.like("%changed"), c.like("%assigned")), 3),
+            (c.like("%deactivated"), 4),
+        ],
+        99, pa.int32(),
+    )
+    # message :71-82
+    what = expr.case_when(
+        [
+            (c.like("%created"), "created"),
+            (c.like("%deactivated"), "deactivated"),
+            (c.like("%reactivated"), "reactivated"),
+            (c.like("%role_changed"), "role changed"),
+            (c.like("%email_changed"), "email changed"),
+            (c.like("%permissions_assigned"), "permissions assigned"),
+        ],
+        None, pa.string(),
+    )
+    return sev_id, act_id, {
+        "message": expr.concat(
+            "Slack user account ", pc.coalesce(what, c.action), " for user ", c.s("entity_name")
+        ),
+        # :94 user = entity when entity_type = 'user'
+        "user": _user(
+            c, {"uid": c.s("entity_id"), "name": c.s("entity_name")},
+            mask=pc.equal(c.s("entity_type"), "user"),
+        ),
+    }
+
+
+@_flow("slack", "authentication", "failed",
+       [_SL_ACTOR_OBS, ("src_ip", "IP Address", "ip_address"),
+        ("actor_email", "Email Address", "actor_email")],  # :166-170
+       unmapped=_SL_UNMAPPED)
+def _slack_authentication(c: _Ctx):
+    """gold_slack_audit_logs.py:107-177."""
+    sev_id = expr.case_when([(c.like("%failed%"), 4)], 1, pa.int32())  # :140-141
+    act_id = expr.case_when(
+        # :142-143
+        [
+            (_AND(c.like("%login"), pc.invert(pc.fill_null(c.like("%logout%"), False))), 1),
+            (c.like("%logout"), 2),
+        ],
+        99, pa.int32(),
+    )
+    return sev_id, act_id, {
+        "src_endpoint": expr.named_struct(  # :158-162
+            {
+                "ip": c.s("ip_address"),
+                "session": expr.named_struct({"uid": c.s("session_id")}),
+                "agent": c.s("user_agent"),
+            }
+        ),
+        "auth_protocol": c.lit("Password"),  # :163
+        "auth_protocol_id": c.lit(1, pa.int32()),  # :164
+        "dst_endpoint": expr.named_struct(  # :165
+            {
+                "hostname": expr.concat(c.s("location_domain"), ".slack.com"),
+                "name": c.lit("Slack"),
+            }
+        ),
+    }
+
+
+def _slack_resource(c: _Ctx) -> pa.StructArray:
+    """gold_slack_audit_logs.py:230-236 (= :302-308)."""
+    return expr.named_struct(
+        {
+            "uid": c.s(("location_id", "entity_id")),
+            "name": c.s(("location_name", "entity_name")),
+            "type": c.s(("location_type", "entity_type")),
+            "owner": expr.named_struct({"name": c.s("location_domain")}),
+            "data": expr.map_literal(
+                {
+                    "privacy": c.s("entity_privacy"),
+                    "is_shared": pc.cast(c.a("entity_is_shared", pa.bool_()), pa.string()),
+                },
+                c.n,
+            ),
+        }
+    )
+
+
+@_flow("slack", "authorize_session", "const",
+       [_SL_ACTOR_OBS, ("workspace", "Resource Name", "location_domain")],  # :238-241
+       unmapped=_SL_UNMAPPED)
+def _slack_authorize_session(c: _Ctx):
+    """gold_slack_audit_logs.py:179-248."""
+    sev_id = expr.case_when(
+        [(c.like("%sso%"), 3), (c.like("%changed"), 2)], 1, pa.int32()  # :212-213
+    )
+    act_id = expr.case_when(
+        # :214-215
+        [
+            (_OR(c.like("%created"), c.like("%enabled")), 1),
+            (c.like("%changed"), 3),
+            (c.like("%disabled"), 4),
+        ],
+        99, pa.int32(),
+    )
+    return sev_id, act_id, {
+        "resource": _slack_resource(c),  # :230-236
+        # :237 entity_privacy present ? array(entity_privacy) : NULL
+        "privileges": expr.single_item_list(
+            c.s("entity_privacy"), mask=pc.is_valid(c.s("entity_privacy"))
+        ),
+    }
+
+
+@_flow("slack", "user_access", "const",
+       [_SL_ACTOR_OBS, ("entity", "Resource Name", "entity_name")],  # :310-313
+       unmapped=_SL_UNMAPPED)
+def _slack_user_access(c: _Ctx):
+    """gold_slack_audit_logs.py:250-320."""
+    sev_id = expr.case_when(
+        # :283-284
+        [
+            (_OR(c.like("%removed%"), c.like("%uninstalled%")), 3),
+            (_OR(c.like("%invited%"), c.like("%installed%")), 2),
+        ],
+        1, pa.int32(),
+    )
+    act_id = expr.case_when(
+        # :285-286
+        [
+            (_OR(c.like("%installed"), c.like("%invited")), 5),
+            (_OR(c.like("%uninstalled"), c.like("%removed")), 6),
+            (c.like("%expanded"), 3),
+        ],
+        99, pa.int32(),
+    )
+    return sev_id, act_id, {
+        # :301 user = entity when it's a guest action
+        "user": _user(
+            c, {"uid": c.s("entity_id"), "name": c.s("entity_name")}, mask=c.like("%guest%")
+        ),
+        "resource": _slack_resource(c),  # :302-308
+        "privileges": expr.string_array_literal(["access"], c.n),  # :309
+    }
+
+
+@_flow("slack", "group_management", "const",
+       [_SL_ACTOR_OBS, ("entity", "Group Name", "entity_name")],  # :393-396
+       unmapped=_SL_UNMAPPED)
+def _slack_group_management(c: _Ctx):
+    """gold_slack_audit_logs.py:322-403."""
+    sev_id = expr.case_when(
+        [(c.like("%deleted%"), 3), (c.like("%created%"), 2)], 1, pa.int32()  # :355-360
+    )
+    act_id = expr.case_when(
+        # :361-369
+        [
+            (c.like("%created"), 1),
+            (_OR(c.like("%changed"), c.like("%updated"), c.like("%rename"), c.like("%converted%")), 3),
+            (_OR(c.like("%deleted"), c.like("%archive")), 4),
+            (_OR(c.like("%added"), c.like("%joined")), 5),
+            (c.like("%removed"), 6),
+        ],
+        99, pa.int32(),
+    )
+    # :384-389 group only when entity_type IN ('channel','usergroup'),
+    # with a nested nullable privileges array
+    in_group = pc.is_in(c.s("entity_type"), value_set=pa.array(["channel", "usergroup"]))
+    group = expr.named_struct(
+        {
+            "uid": c.s("entity_id"),
+            "name": c.s("entity_name"),
+            "type": c.s("entity_type"),
+            # nested list child carries the struct mask too: Parquet
+            # rejects non-zero-length list values under null struct rows
+            "privileges": expr.single_item_list(
+                c.s("entity_privacy"),
+                mask=_AND(pc.is_valid(c.s("entity_privacy")), in_group),
+            ),
+        },
+        mask=in_group,
+    )
+    # :392 typed NULL user struct
+    return sev_id, act_id, {"group": group, "user": c.nulls(USER_STRUCT_T)}
+
+
+# -- atlassian (gold_atlassian_audit_logs.py) -------------------------------
+
+_AT_OBS = [("actor_id", "User Name", "actor_id"), ("actor_email", "Email Address", "actor_email")]
+
+
+@_flow("atlassian", "account_change", "failed", _AT_OBS,  # :71-72, :87-90
+       unmapped=("auth_type", "tags", "context", "changes"),  # :96-102
+       source_map={"timezone": "timezone", "locale": "message_locale"})  # :91-95
+def _atlassian_account_change(c: _Ctx):
+    """gold_atlassian_audit_logs.py:24-104 (risk-score thresholds)."""
+    sev_id = expr.case_when(
+        # :57-63
+        [
+            (_OR(_risk(c, 70, "high"), c.like("%delete%")), 4),
+            (_OR(_risk(c, 40, "medium"), c.like("%disable%")), 3),
+            (_OR(pc.greater_equal(c.a("risk_score", pa.int32()), 20),
+                 c.like("%create%"), c.like("%enable%")), 2),
+        ],
+        1, pa.int32(),
+    )
+    act_id = expr.case_when(
+        # :64-70
+        [
+            (_OR(c.like("%created"), c.like("%enabled")), 1),
+            (c.like("%updated"), 3),
+            (_OR(c.like("%deleted"), c.like("%disabled"), c.like("%revoked")), 4),
+        ],
+        99, pa.int32(),
+    )
+    return sev_id, act_id, {
+        "message": c.s("message_content"),  # :74
+        "user": _user(
+            c, {"uid": c.s("actor_id"), "name": c.s("actor_name"), "email_addr": c.s("actor_email")}
+        ),  # :86
+    }
+
+
+@_flow("atlassian", "authentication", "failed",
+       _AT_OBS + [("src_ip", "IP Address", "location_ip")],  # :183-187
+       unmapped=("auth_type",),  # :193-196
+       source_map={"timezone": "timezone", "locale": "message_locale"})  # :188-192
+def _atlassian_authentication(c: _Ctx):
+    """gold_atlassian_audit_logs.py:106-198."""
+    sev_id = expr.case_when(
+        # :139-144
+        [
+            (_OR(_risk(c, 70, "high"), c.like("%failed%")), 4),
+            (_risk(c, 40, "medium"), 3),
+        ],
+        1, pa.int32(),
+    )
+    act_id = expr.case_when(
+        # :145-146
+        [
+            (_AND(c.like("%login"), pc.invert(pc.fill_null(c.like("%logout%"), False))), 1),
+            (_OR(c.like("%logout"), c.like("%session_ended")), 2),
+        ],
+        99, pa.int32(),
+    )
+    auth_type = c.s("auth_type")
+    sso = expr.sql_like(auth_type, "%sso%")
+    api = pc.equal(auth_type, "api-token")
+    geo = c.s("location_geo")
+    lat = pc.cast(expr.split_index(geo, ",", 0), pa.float64())
+    lon = pc.cast(expr.split_index(geo, ",", 1), pa.float64())
+    return sev_id, act_id, {
+        "src_endpoint": expr.named_struct(  # :161-171
+            {
+                "ip": c.s("location_ip"),
+                "location": expr.named_struct(
+                    {
+                        "city": c.s("city"),
+                        "region": c.s("region_name"),
+                        "country": c.s("country_name"),
+                        # :167 geo "lat,lon" split into ARRAY<DOUBLE>
+                        "coordinates": expr.pair_list(lat, lon, mask=pc.is_valid(geo)),
+                        # :168 desc = concat_ws(', ', city, region, country)
+                        "desc": expr.concat_ws(
+                            ", ", c.s("city"), c.s("region_name"), c.s("country_name")
+                        ),
+                    }
+                ),
+                "agent": c.s("user_agent"),
+            }
+        ),
+        "auth_protocol": expr.case_when(  # :172-176
+            [(sso, "SAML"), (api, "API Key")], "Password", pa.string()
+        ),
+        "auth_protocol_id": expr.case_when([(sso, 4), (api, 99)], 1, pa.int32()),  # :177-181
+        "dst_endpoint": expr.named_struct(  # :182
+            {"hostname": c.lit("atlassian.com"), "name": c.lit("Atlassian")}
+        ),
+    }
+
+
+@_flow("atlassian", "authorize_session", "const", _AT_OBS,  # :260-263
+       unmapped=("auth_type", "tags", "changes"),  # :269-274
+       enrich=(  # :264-268
+           ("auth_type", "auth_type", "authentication", {"session_id": "session_id"}),
+           ("risk_assessment", "risk_level", "risk", {"score": "risk_score"}),
+       ))
+def _atlassian_authorize_session(c: _Ctx):
+    """gold_atlassian_audit_logs.py:200-276."""
+    sev_id = expr.case_when(
+        # :233-238 — note ELSE 2, not 1
+        [
+            (_OR(_risk(c, 70, "high"), c.like("%revoked%")), 4),
+            (_OR(_risk(c, 40, "medium"), c.like("%granted%")), 3),
+        ],
+        2, pa.int32(),
+    )
+    act_id = expr.case_when(
+        # :239-244 — Add/Remove 5/6, NOT the Create/Update/Delete chain
+        [
+            (_OR(c.like("%granted%"), c.like("%assigned%"), c.like("%enabled%")), 5),
+            (_OR(c.like("%revoked%"), c.like("%removed%"), c.like("%disabled%")), 6),
+        ],
+        99, pa.int32(),
+    )
+    # :259 privileges = tags present ? array(tags) : NULL
+    return sev_id, act_id, {
+        "privileges": expr.single_item_list(c.s("tags"), mask=pc.is_valid(c.s("tags"))),
+    }
+
+
+@_flow("atlassian", "entity_management", "const", _AT_OBS,  # :351-354
+       enrich=(), source_map={"timezone": "timezone"})  # :355-357
+def _atlassian_entity_management(c: _Ctx):
+    """gold_atlassian_audit_logs.py:278-362 — the only source mapping to
+    Entity Management (3004)."""
+    sev_id = expr.case_when(
+        # :311-317
+        [
+            (_OR(_risk(c, 70, "high"), c.like("%deleted%")), 4),
+            (_risk(c, 40, "medium"), 3),
+            (c.like("%created%"), 2),
+        ],
+        1, pa.int32(),
+    )
+    act_id = expr.case_when(
+        [(c.like("%created"), 1), (c.like("%deleted"), 4)], 99, pa.int32()  # :318-319
+    )
+    kind = expr.case_when(
+        # :336-347
+        [
+            (c.like("%workspace%"), "Workspace"),
+            (c.like("%project%"), "Project"),
+            (c.like("%webhook%"), "Webhook"),
+        ],
+        "Entity", pa.string(),
+    )
+    return sev_id, act_id, {
+        "resource": expr.named_struct(  # :334-350
+            {
+                "uid": c.s("event_id"),
+                "name": kind,
+                "type": kind,
+                "owner": expr.named_struct({"name": c.s("actor_name")}),
+                "data": expr.null_map(c.n),
+            }
+        ),
+    }
+
+
+@_flow("atlassian", "group_management", "const", _AT_OBS,  # :426-429
+       unmapped=("event_id", "action", "source"),  # :433-438
+       enrich=())  # :430-432 single source enrichment, NULL map
+def _atlassian_group_management(c: _Ctx):
+    """gold_atlassian_audit_logs.py:365-440."""
+    sev_id = expr.case_when(
+        [(c.like("%deleted%"), 3), (c.like("%created%"), 2)], 1, pa.int32()  # :398-399
+    )
+    act_id = expr.case_when(
+        # :400-407
+        [
+            (c.like("%created"), 1),
+            (c.like("%deleted"), 4),
+            (c.like("%member_added"), 5),
+            (c.like("%member_removed"), 6),
+        ],
+        99, pa.int32(),
+    )
+    return sev_id, act_id, {
+        "group": expr.named_struct(  # :422
+            {"uid": c.s("event_id"), "name": c.lit("Group"), "type": c.lit("Group")}
+        ),
+        "user": c.nulls(USER_STRUCT_T),  # :425 typed NULL
+    }
+
+
+# ---------------------------------------------------------------------------
+# the generic projection + per-class union schemas (the mergeSchema end-state)
+# ---------------------------------------------------------------------------
 
 
 def _empty_silver(source: str) -> pa.Table:
@@ -467,13 +1022,36 @@ class GoldTransform:
         self.ocsf_class = ocsf_class
         self.regex = CLASS_REGEX[(source, ocsf_class)]
         re.compile(self.regex)  # fail fast
-        self._project = getattr(self, f"_{source}_{ocsf_class}")
+        self.spec = _FLOWS[(source, ocsf_class)]
 
     def project(self, batch: pa.Table) -> pa.Table:
-        """Raw per-source projection (pre-alignment) — used by class_schema."""
-        c = _Ctx(batch)
-        cols = _head(c, self.source, self.ocsf_class)
-        cols.update(self._project(c))
+        """Raw per-source projection (pre-alignment) — used by class_schema.
+        Column order: head, severity/activity/status, time, [message],
+        actor, the flow's own structs, observables, enrichments, unmapped."""
+        c, spec, src = _Ctx(batch), self.spec, self.source
+        sev_id, act_id, parts = spec.parts(c)
+        if spec.status == "failed":
+            status_id = expr.case_when([(c.like("%failed%"), 2)], 1, pa.int32())
+        else:
+            status_id = c.lit(1, pa.int32())
+        cols = _head(c, src, self.ocsf_class)
+        cols.update(
+            severity_id=sev_id,
+            severity=_names(sev_id, SEVERITY),
+            activity_id=act_id,
+            activity_name=_names(act_id, activity_names(self.ocsf_class)),
+            status_id=status_id,
+            status=expr.case_when([(pc.equal(status_id, 2), "Failure")], "Success", pa.string()),
+            time=c.a("_event_time", pa.timestamp("us")),
+        )
+        if "message" in parts:
+            cols["message"] = parts.pop("message")
+        cols["actor"] = _actor(c, src, plain=self.ocsf_class == "authentication")
+        cols.update(parts)
+        cols["observables"] = _observables(c, spec.observables)
+        enrich = _SOURCES[src].enrich if spec.enrich is None else spec.enrich
+        cols["enrichments"] = _enrichments(c, src, enrich, spec.source_map)
+        cols["unmapped"] = _unmapped(c, src, spec.unmapped)
         return pa.table(cols)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -485,835 +1063,3 @@ class GoldTransform:
         )
         mask = pc.fill_null(expr.rlike(pc.cast(action_all, pa.string()), self.regex), False)
         return align_to(self.project(batch.filter(mask)), class_schema(self.ocsf_class))
-
-    # -- github (gold_github_audit_logs.py) -----------------------------
-
-    def _github_account_change(self, c: _Ctx) -> dict:
-        """gold_github_audit_logs.py:22-99."""
-        sev_id = expr.case_when(
-            # :55-59
-            [
-                (_OR(c.like("%delete%"), c.like("%suspend%")), 4),
-                (_OR(c.like("%create%"), c.like("%update%")), 2),
-            ],
-            1, pa.int32(),
-        )
-        act_id = expr.case_when(
-            # :61-66
-            [
-                (c.like("%created"), 1),
-                (_OR(c.like("%updated"), c.like("%renamed")), 3),
-                (c.like("%deleted"), 4),
-            ],
-            99, pa.int32(),
-        )
-        status_id, status = _status_failed(c)
-        target = pc.coalesce(c.s("target_login"), c.s("user"))
-        # message :71-86
-        verb = expr.case_when(
-            [
-                (c.like("%add_member"), "added to"),
-                (c.like("%remove_member"), "removed from"),
-                (c.like("%update_member"), "updated in"),
-            ],
-            None, pa.string(),
-        )
-        verb = pc.coalesce(verb, c.action)
-        entity = expr.case_when(
-            [
-                (c.like("org.%"), c.lit("organization")),
-                (c.like("team.%"), expr.concat("team ", pc.coalesce(c.s("team"), c.lit("unknown")))),
-                (c.like("repo.%"), expr.concat("repository ", pc.coalesce(c.s("repository"), c.lit("unknown")))),
-            ],
-            "entity", pa.string(),
-        )
-        message = expr.concat(
-            "GitHub member ", verb, " ", entity, ": ",
-            pc.coalesce(target, c.s("actor")),
-        )
-        return {
-            "severity_id": sev_id,
-            "severity": _sev_names(sev_id, [(4, "High"), (2, "Low")], "Informational"),  # :60
-            "activity_id": act_id,
-            "activity_name": _sev_names(act_id, [(1, "Create"), (3, "Update"), (4, "Delete")], "Other"),  # :67
-            "status_id": status_id,
-            "status": status,
-            "time": c.a("_event_time", pa.timestamp("us")),
-            "message": message,
-            "actor": _actor_github(c),  # :87
-            "user": _user7(c, target, target),  # :88
-            "observables": expr.struct_array_literal(  # :89-92
-                [
-                    _obs(c, "actor", "User Name", 4, c.s("actor")),
-                    _obs(c, "target_user", "User Name", 4, target),
-                ]
-            ),
-            "enrichments": _enrich_github(c),  # :93-96
-            "unmapped": expr.named_struct({"raw_data": c.s("data")}),  # :97
-        }
-
-    def _github_authentication(self, c: _Ctx) -> dict:
-        """gold_github_audit_logs.py:102-166."""
-        sev_id = expr.case_when([(c.like("%failed%"), 4)], 1, pa.int32())  # :135
-        act_id = expr.case_when(
-            # :137
-            [
-                (_OR(c.like("%login"), c.like("oauth_authorization.create")), 1),
-                (_OR(c.like("%logout"), c.like("oauth_authorization.destroy")), 2),
-            ],
-            99, pa.int32(),
-        )
-        status_id, status = _status_failed(c)
-        is_oauth = c.like("%oauth%")
-        return {
-            "severity_id": sev_id,
-            "severity": _sev_names(sev_id, [(4, "High")], "Informational"),  # :136
-            "activity_id": act_id,
-            "activity_name": _sev_names(act_id, [(1, "Logon"), (2, "Logoff")], "Other"),  # :138
-            "status_id": status_id,
-            "status": status,
-            "time": c.a("_event_time", pa.timestamp("us")),
-            "actor": _actor_github(c),  # :142
-            "src_endpoint": expr.named_struct(  # :143-146
-                {
-                    "ip": c.s("actor_ip"),
-                    "location": expr.named_struct(
-                        {
-                            "city": c.s("actor_city"),
-                            "region": c.s("actor_region"),
-                            "country": c.s("actor_country"),
-                            # CAST(NULL AS ARRAY<DOUBLE>)
-                            "coordinates": c.nulls(pa.list_(pa.float64())),
-                        }
-                    ),
-                }
-            ),
-            "auth_protocol": expr.case_when([(is_oauth, "OAuth")], "Password", pa.string()),  # :147-150
-            "auth_protocol_id": expr.case_when([(is_oauth, 2)], 1, pa.int32()),  # :151-154
-            "dst_endpoint": expr.named_struct(  # :155
-                {"hostname": c.lit("github.com"), "name": c.lit("GitHub")}
-            ),
-            "observables": expr.struct_array_literal(  # :156-159
-                [
-                    _obs(c, "actor", "User Name", 4, c.s("actor")),
-                    _obs(c, "src_ip", "IP Address", 2, c.s("actor_ip")),
-                ]
-            ),
-            "enrichments": _enrich_github(c),
-            "unmapped": expr.named_struct({"raw_data": c.s("data")}),
-        }
-
-    def _github_authorize_session(self, c: _Ctx) -> dict:
-        """gold_github_audit_logs.py:169-229."""
-        sev_id = expr.case_when(
-            [(c.like("%remove%"), 3), (c.like("%add%"), 2)], 1, pa.int32()  # :202
-        )
-        act_id = expr.case_when(
-            [(c.like("%add%"), 5), (c.like("%remove%"), 6)], 99, pa.int32()  # :204
-        )
-        status_id, status = _status_const(c)
-        repo = c.s("repository")
-        org = c.s("organization")
-        return {
-            "severity_id": sev_id,
-            "severity": _sev_names(sev_id, [(3, "Medium"), (2, "Low")], "Informational"),  # :203
-            "activity_id": act_id,
-            "activity_name": _sev_names(act_id, [(5, "Add"), (6, "Remove")], "Other"),  # :205
-            "status_id": status_id,
-            "status": status,
-            "time": c.a("_event_time", pa.timestamp("us")),
-            "actor": _actor_github(c),  # :209
-            "resource": expr.named_struct(  # :210-216
-                {
-                    "uid": pc.coalesce(repo, org),
-                    "name": pc.coalesce(repo, org),
-                    "type": expr.case_when(
-                        [(pc.is_valid(repo), "Repository")], "Organization", pa.string()
-                    ),
-                    "owner": expr.named_struct({"name": org}),
-                    "data": expr.map_literal({"ref": c.s("ref"), "visibility": c.s("visibility")}, c.n),
-                }
-            ),
-            # :217 privileges = permission present ? array(permission) : NULL
-            "privileges": expr.single_item_list(c.s("permission"), mask=pc.is_valid(c.s("permission"))),
-            # :218 nullable user via validity mask on target_login
-            "user": _user7(
-                c, c.s("target_login"), c.s("target_login"),
-                mask=pc.is_valid(c.s("target_login")),
-            ),
-            "observables": expr.struct_array_literal(  # :219-222
-                [
-                    _obs(c, "actor", "User Name", 4, c.s("actor")),
-                    _obs(c, "repository", "Resource Name", 10, repo),
-                ]
-            ),
-            "enrichments": _enrich_github(c),
-            "unmapped": expr.named_struct({"raw_data": c.s("data")}),
-        }
-
-    def _github_user_access(self, c: _Ctx) -> dict:
-        """gold_github_audit_logs.py:232-286."""
-        sev_id = expr.case_when(
-            [(c.like("%remove%"), 3), (c.like("%add%"), 2)], 1, pa.int32()  # :265
-        )
-        act_id = expr.case_when(
-            [(c.like("%add%"), 5), (c.like("%remove%"), 6), (c.like("%update%"), 3)],
-            99, pa.int32(),  # :267
-        )
-        status_id, status = _status_const(c)
-        target = pc.coalesce(c.s("target_login"), c.s("user"))
-        org = c.s("organization")
-        perm = c.s("permission")
-        return {
-            "severity_id": sev_id,
-            "severity": _sev_names(sev_id, [(3, "Medium"), (2, "Low")], "Informational"),  # :266
-            "activity_id": act_id,
-            "activity_name": _sev_names(act_id, [(5, "Add"), (6, "Remove"), (3, "Update")], "Other"),  # :268
-            "status_id": status_id,
-            "status": status,
-            "time": c.a("_event_time", pa.timestamp("us")),
-            "actor": _actor_github(c),  # :272
-            "user": _user7(c, target, target),  # :273
-            "resource": expr.named_struct(  # :274
-                {
-                    "uid": org,
-                    "name": org,
-                    "type": c.lit("Organization"),
-                    "owner": expr.named_struct({"name": org}),
-                    "data": expr.null_map(c.n),
-                }
-            ),
-            # :275 permission present ? array(permission) : array('member')
-            "privileges": expr.single_item_list(pc.coalesce(perm, c.lit("member"))),
-            "observables": expr.struct_array_literal(  # :276-279
-                [
-                    _obs(c, "actor", "User Name", 4, c.s("actor")),
-                    _obs(c, "target_user", "User Name", 4, target),
-                ]
-            ),
-            "enrichments": _enrich_github(c),
-            "unmapped": expr.named_struct({"raw_data": c.s("data")}),
-        }
-
-    def _github_group_management(self, c: _Ctx) -> dict:
-        """gold_github_audit_logs.py:289-348."""
-        sev_id = expr.case_when(
-            [(c.like("%destroy%"), 3), (c.like("%create%"), 2)], 1, pa.int32()  # :322
-        )
-        act_id = expr.case_when(
-            # :324-330
-            [
-                (c.like("%create"), 1),
-                (c.like("%destroy"), 4),
-                (c.like("%add_member"), 5),
-                (c.like("%remove_member"), 6),
-            ],
-            99, pa.int32(),
-        )
-        status_id, status = _status_const(c)
-        team = c.s("team")
-        return {
-            "severity_id": sev_id,
-            "severity": _sev_names(sev_id, [(3, "Medium"), (2, "Low")], "Informational"),  # :323
-            "activity_id": act_id,
-            "activity_name": _sev_names(
-                act_id, [(1, "Create"), (4, "Delete"), (5, "Add"), (6, "Remove")], "Other"
-            ),  # :331
-            "status_id": status_id,
-            "status": status,
-            "time": c.a("_event_time", pa.timestamp("us")),
-            "actor": _actor_github(c),  # :335
-            "group": expr.named_struct({"uid": team, "name": team, "type": c.lit("Team")}),  # :336
-            "user": _user7(
-                c, c.s("target_login"), c.s("target_login"),
-                mask=pc.is_valid(c.s("target_login")),
-            ),  # :337
-            "observables": expr.struct_array_literal(  # :338-341
-                [
-                    _obs(c, "actor", "User Name", 4, c.s("actor")),
-                    _obs(c, "team", "Group Name", 21, team),
-                ]
-            ),
-            "enrichments": _enrich_github(c),
-            "unmapped": expr.named_struct({"raw_data": c.s("data")}),
-        }
-
-    # -- slack (gold_slack_audit_logs.py) --------------------------------
-
-    def _slack_account_change(self, c: _Ctx) -> dict:
-        """gold_slack_audit_logs.py:22-105."""
-        sev_id = expr.case_when(
-            # :55-59
-            [
-                (c.like("%deactivated%"), 4),
-                (_OR(c.like("%created%"), c.like("%reactivated%")), 2),
-            ],
-            1, pa.int32(),
-        )
-        act_id = expr.case_when(
-            # :61-66
-            [
-                (c.like("%created"), 1),
-                (_OR(c.like("%changed"), c.like("%assigned")), 3),
-                (c.like("%deactivated"), 4),
-            ],
-            99, pa.int32(),
-        )
-        status_id, status = _status_const(c)
-        # message :71-82
-        what = expr.case_when(
-            [
-                (c.like("%created"), "created"),
-                (c.like("%deactivated"), "deactivated"),
-                (c.like("%reactivated"), "reactivated"),
-                (c.like("%role_changed"), "role changed"),
-                (c.like("%email_changed"), "email changed"),
-                (c.like("%permissions_assigned"), "permissions assigned"),
-            ],
-            None, pa.string(),
-        )
-        message = expr.concat(
-            "Slack user account ", pc.coalesce(what, c.action), " for user ", c.s("entity_name")
-        )
-        return {
-            "severity_id": sev_id,
-            "severity": _sev_names(sev_id, [(4, "High"), (2, "Low")], "Informational"),  # :60
-            "activity_id": act_id,
-            "activity_name": _sev_names(act_id, [(1, "Create"), (3, "Update"), (4, "Delete")], "Other"),  # :67
-            "status_id": status_id,
-            "status": status,
-            "time": c.a("_event_time", pa.timestamp("us")),
-            "message": message,
-            "actor": _actor_slack(c),  # :83-93
-            # :94 user = entity when entity_type = 'user'
-            "user": _user7(
-                c, c.s("entity_id"), c.s("entity_name"),
-                mask=pc.equal(c.s("entity_type"), "user"),
-            ),
-            "observables": expr.struct_array_literal(  # :95-98
-                [
-                    _obs(c, "actor_id", "User Name", 4, c.s("actor_id")),
-                    _obs(c, "target_user", "User Name", 4, c.s("entity_id")),
-                ]
-            ),
-            "enrichments": _enrich_slack(c),  # :99-102
-            "unmapped": expr.named_struct(  # :103
-                {"entity_type": c.s("entity_type"), "raw_data": c.s("data")}
-            ),
-        }
-
-    def _slack_authentication(self, c: _Ctx) -> dict:
-        """gold_slack_audit_logs.py:107-177."""
-        sev_id = expr.case_when([(c.like("%failed%"), 4)], 1, pa.int32())  # :140
-        act_id = expr.case_when(
-            # :142
-            [
-                (_AND(c.like("%login"), pc.invert(pc.fill_null(c.like("%logout%"), False))), 1),
-                (c.like("%logout"), 2),
-            ],
-            99, pa.int32(),
-        )
-        status_id, status = _status_failed(c)
-        return {
-            "severity_id": sev_id,
-            "severity": _sev_names(sev_id, [(4, "High")], "Informational"),  # :141
-            "activity_id": act_id,
-            "activity_name": _sev_names(act_id, [(1, "Logon"), (2, "Logoff")], "Other"),  # :143
-            "status_id": status_id,
-            "status": status,
-            "time": c.a("_event_time", pa.timestamp("us")),
-            "actor": _actor_slack(c, cased=False),  # :147-157
-            "src_endpoint": expr.named_struct(  # :158-162
-                {
-                    "ip": c.s("ip_address"),
-                    "session": expr.named_struct({"uid": c.s("session_id")}),
-                    "agent": c.s("user_agent"),
-                }
-            ),
-            "auth_protocol": c.lit("Password"),  # :163
-            "auth_protocol_id": c.lit(1, pa.int32()),  # :164
-            "dst_endpoint": expr.named_struct(  # :165
-                {
-                    "hostname": expr.concat(c.s("location_domain"), ".slack.com"),
-                    "name": c.lit("Slack"),
-                }
-            ),
-            "observables": expr.struct_array_literal(  # :166-170
-                [
-                    _obs(c, "actor_id", "User Name", 4, c.s("actor_id")),
-                    _obs(c, "src_ip", "IP Address", 2, c.s("ip_address")),
-                    _obs(c, "actor_email", "Email Address", 5, c.s("actor_email")),
-                ]
-            ),
-            "enrichments": _enrich_slack(c),
-            "unmapped": expr.named_struct(
-                {"entity_type": c.s("entity_type"), "raw_data": c.s("data")}
-            ),
-        }
-
-    def _slack_resource(self, c: _Ctx) -> pa.StructArray:
-        """gold_slack_audit_logs.py:230-236 (= :302-308)."""
-        return expr.named_struct(
-            {
-                "uid": pc.coalesce(c.s("location_id"), c.s("entity_id")),
-                "name": pc.coalesce(c.s("location_name"), c.s("entity_name")),
-                "type": pc.coalesce(c.s("location_type"), c.s("entity_type")),
-                "owner": expr.named_struct({"name": c.s("location_domain")}),
-                "data": expr.map_literal(
-                    {
-                        "privacy": c.s("entity_privacy"),
-                        "is_shared": pc.cast(c.a("entity_is_shared", pa.bool_()), pa.string()),
-                    },
-                    c.n,
-                ),
-            }
-        )
-
-    def _slack_authorize_session(self, c: _Ctx) -> dict:
-        """gold_slack_audit_logs.py:179-248."""
-        sev_id = expr.case_when(
-            [(c.like("%sso%"), 3), (c.like("%changed"), 2)], 1, pa.int32()  # :212
-        )
-        act_id = expr.case_when(
-            # :214
-            [
-                (_OR(c.like("%created"), c.like("%enabled")), 1),
-                (c.like("%changed"), 3),
-                (c.like("%disabled"), 4),
-            ],
-            99, pa.int32(),
-        )
-        status_id, status = _status_const(c)
-        return {
-            "severity_id": sev_id,
-            "severity": _sev_names(sev_id, [(3, "Medium"), (2, "Low")], "Informational"),  # :213
-            "activity_id": act_id,
-            "activity_name": _sev_names(act_id, [(1, "Create"), (3, "Update"), (4, "Delete")], "Other"),  # :215
-            "status_id": status_id,
-            "status": status,
-            "time": c.a("_event_time", pa.timestamp("us")),
-            "actor": _actor_slack(c),  # :219-229
-            "resource": self._slack_resource(c),  # :230-236
-            # :237 entity_privacy present ? array(entity_privacy) : NULL
-            "privileges": expr.single_item_list(
-                c.s("entity_privacy"), mask=pc.is_valid(c.s("entity_privacy"))
-            ),
-            "observables": expr.struct_array_literal(  # :238-241
-                [
-                    _obs(c, "actor_id", "User Name", 4, c.s("actor_id")),
-                    _obs(c, "workspace", "Resource Name", 10, c.s("location_domain")),
-                ]
-            ),
-            "enrichments": _enrich_slack(c),
-            "unmapped": expr.named_struct(
-                {"entity_type": c.s("entity_type"), "raw_data": c.s("data")}
-            ),
-        }
-
-    def _slack_user_access(self, c: _Ctx) -> dict:
-        """gold_slack_audit_logs.py:250-320."""
-        sev_id = expr.case_when(
-            # :283
-            [
-                (_OR(c.like("%removed%"), c.like("%uninstalled%")), 3),
-                (_OR(c.like("%invited%"), c.like("%installed%")), 2),
-            ],
-            1, pa.int32(),
-        )
-        act_id = expr.case_when(
-            # :285
-            [
-                (_OR(c.like("%installed"), c.like("%invited")), 5),
-                (_OR(c.like("%uninstalled"), c.like("%removed")), 6),
-                (c.like("%expanded"), 3),
-            ],
-            99, pa.int32(),
-        )
-        status_id, status = _status_const(c)
-        return {
-            "severity_id": sev_id,
-            "severity": _sev_names(sev_id, [(3, "Medium"), (2, "Low")], "Informational"),  # :284
-            "activity_id": act_id,
-            "activity_name": _sev_names(act_id, [(5, "Add"), (6, "Remove"), (3, "Update")], "Other"),  # :286
-            "status_id": status_id,
-            "status": status,
-            "time": c.a("_event_time", pa.timestamp("us")),
-            "actor": _actor_slack(c),  # :290-300
-            # :301 user = entity when it's a guest action
-            "user": _user7(
-                c, c.s("entity_id"), c.s("entity_name"), mask=c.like("%guest%")
-            ),
-            "resource": self._slack_resource(c),  # :302-308
-            "privileges": expr.string_array_literal(["access"], c.n),  # :309
-            "observables": expr.struct_array_literal(  # :310-313
-                [
-                    _obs(c, "actor_id", "User Name", 4, c.s("actor_id")),
-                    _obs(c, "entity", "Resource Name", 10, c.s("entity_name")),
-                ]
-            ),
-            "enrichments": _enrich_slack(c),
-            "unmapped": expr.named_struct(
-                {"entity_type": c.s("entity_type"), "raw_data": c.s("data")}
-            ),
-        }
-
-    def _slack_group_management(self, c: _Ctx) -> dict:
-        """gold_slack_audit_logs.py:322-403."""
-        sev_id = expr.case_when(
-            [(c.like("%deleted%"), 3), (c.like("%created%"), 2)], 1, pa.int32()  # :355-359
-        )
-        act_id = expr.case_when(
-            # :361-368
-            [
-                (c.like("%created"), 1),
-                (_OR(c.like("%changed"), c.like("%updated"), c.like("%rename"), c.like("%converted%")), 3),
-                (_OR(c.like("%deleted"), c.like("%archive")), 4),
-                (_OR(c.like("%added"), c.like("%joined")), 5),
-                (c.like("%removed"), 6),
-            ],
-            99, pa.int32(),
-        )
-        status_id, status = _status_const(c)
-        # :384-389 group only when entity_type IN ('channel','usergroup'),
-        # with a nested nullable privileges array
-        in_group = pc.is_in(c.s("entity_type"), value_set=pa.array(["channel", "usergroup"]))
-        group = expr.named_struct(
-            {
-                "uid": c.s("entity_id"),
-                "name": c.s("entity_name"),
-                "type": c.s("entity_type"),
-                # nested list child carries the struct mask too: Parquet
-                # rejects non-zero-length list values under null struct rows
-                "privileges": expr.single_item_list(
-                    c.s("entity_privacy"),
-                    mask=_AND(pc.is_valid(c.s("entity_privacy")), in_group),
-                ),
-            },
-            mask=in_group,
-        )
-        return {
-            "severity_id": sev_id,
-            "severity": _sev_names(sev_id, [(3, "Medium"), (2, "Low")], "Informational"),  # :360
-            "activity_id": act_id,
-            "activity_name": _sev_names(
-                act_id, [(1, "Create"), (3, "Update"), (4, "Delete"), (5, "Add"), (6, "Remove")], "Other"
-            ),  # :369
-            "status_id": status_id,
-            "status": status,
-            "time": c.a("_event_time", pa.timestamp("us")),
-            "actor": _actor_slack(c),  # :373-383
-            "group": group,
-            # :392 typed NULL user struct
-            "user": c.nulls(USER_STRUCT_T),
-            "observables": expr.struct_array_literal(  # :393-396
-                [
-                    _obs(c, "actor_id", "User Name", 4, c.s("actor_id")),
-                    _obs(c, "entity", "Group Name", 21, c.s("entity_name")),
-                ]
-            ),
-            "enrichments": _enrich_slack(c),
-            "unmapped": expr.named_struct(
-                {"entity_type": c.s("entity_type"), "raw_data": c.s("data")}
-            ),
-        }
-
-    # -- atlassian (gold_atlassian_audit_logs.py) ------------------------
-
-    def _atlassian_account_change(self, c: _Ctx) -> dict:
-        """gold_atlassian_audit_logs.py:24-104 (risk-score thresholds)."""
-        high = pc.equal(c.s("risk_level"), "high")
-        med = pc.equal(c.s("risk_level"), "medium")
-        sev_id = expr.case_when(
-            # :57-62
-            [
-                (_OR(_risk_ge(c, 70), c.like("%delete%"), high), 4),
-                (_OR(_risk_ge(c, 40), c.like("%disable%"), med), 3),
-                (_OR(_risk_ge(c, 20), c.like("%create%"), c.like("%enable%")), 2),
-            ],
-            1, pa.int32(),
-        )
-        act_id = expr.case_when(
-            # :64-69
-            [
-                (_OR(c.like("%created"), c.like("%enabled")), 1),
-                (c.like("%updated"), 3),
-                (_OR(c.like("%deleted"), c.like("%disabled"), c.like("%revoked")), 4),
-            ],
-            99, pa.int32(),
-        )
-        status_id, status = _status_failed(c)  # :71-72
-        return {
-            "severity_id": sev_id,
-            "severity": _sev_names(sev_id, [(4, "High"), (3, "Medium"), (2, "Low")], "Informational"),  # :63
-            "activity_id": act_id,
-            "activity_name": _sev_names(act_id, [(1, "Create"), (3, "Update"), (4, "Delete")], "Other"),  # :70
-            "status_id": status_id,
-            "status": status,
-            "time": c.a("_event_time", pa.timestamp("us")),
-            "message": c.s("message_content"),  # :74
-            "actor": _actor_atlassian(c),  # :75-85
-            "user": _user7(
-                c, c.s("actor_id"), c.s("actor_name"), email=c.s("actor_email")
-            ),  # :86
-            "observables": expr.struct_array_literal(  # :87-90
-                [
-                    _obs(c, "actor_id", "User Name", 4, c.s("actor_id")),
-                    _obs(c, "actor_email", "Email Address", 5, c.s("actor_email")),
-                ]
-            ),
-            "enrichments": _enrich_atlassian(  # :91-95
-                c, token_id=True, risk_level_in_map=True,
-                source_map={"timezone": c.s("timezone"), "locale": c.s("message_locale")},
-            ),
-            "unmapped": expr.named_struct(  # :96-102
-                {
-                    "auth_type": c.s("auth_type"),
-                    "tags": c.s("tags"),
-                    "context": c.s("context"),
-                    "changes": c.s("changes"),
-                    "raw_data": c.s("data"),
-                }
-            ),
-        }
-
-    def _atlassian_authentication(self, c: _Ctx) -> dict:
-        """gold_atlassian_audit_logs.py:106-198."""
-        high = pc.equal(c.s("risk_level"), "high")
-        med = pc.equal(c.s("risk_level"), "medium")
-        sev_id = expr.case_when(
-            # :139-143
-            [
-                (_OR(_risk_ge(c, 70), c.like("%failed%"), high), 4),
-                (_OR(_risk_ge(c, 40), med), 3),
-            ],
-            1, pa.int32(),
-        )
-        act_id = expr.case_when(
-            # :145
-            [
-                (_AND(c.like("%login"), pc.invert(pc.fill_null(c.like("%logout%"), False))), 1),
-                (_OR(c.like("%logout"), c.like("%session_ended")), 2),
-            ],
-            99, pa.int32(),
-        )
-        status_id, status = _status_failed(c)
-        auth_type = c.s("auth_type")
-        sso = expr.sql_like(auth_type, "%sso%")
-        api = pc.equal(auth_type, "api-token")
-        geo = c.s("location_geo")
-        has_geo = pc.is_valid(geo)
-        lat = pc.cast(expr.split_index(geo, ",", 0), pa.float64())
-        lon = pc.cast(expr.split_index(geo, ",", 1), pa.float64())
-        return {
-            "severity_id": sev_id,
-            "severity": _sev_names(sev_id, [(4, "High"), (3, "Medium")], "Informational"),  # :144
-            "activity_id": act_id,
-            "activity_name": _sev_names(act_id, [(1, "Logon"), (2, "Logoff")], "Other"),  # :146
-            "status_id": status_id,
-            "status": status,
-            "time": c.a("_event_time", pa.timestamp("us")),
-            "actor": _actor_atlassian(c, cased=False),  # :150-160
-            "src_endpoint": expr.named_struct(  # :161-171
-                {
-                    "ip": c.s("location_ip"),
-                    "location": expr.named_struct(
-                        {
-                            "city": c.s("city"),
-                            "region": c.s("region_name"),
-                            "country": c.s("country_name"),
-                            # :167 geo "lat,lon" split into ARRAY<DOUBLE>
-                            "coordinates": expr.pair_list(lat, lon, mask=has_geo),
-                            # :168 desc = concat_ws(', ', city, region, country)
-                            "desc": expr.concat_ws(
-                                ", ", c.s("city"), c.s("region_name"), c.s("country_name")
-                            ),
-                        }
-                    ),
-                    "agent": c.s("user_agent"),
-                }
-            ),
-            "auth_protocol": expr.case_when(  # :172-176
-                [(sso, "SAML"), (api, "API Key")], "Password", pa.string()
-            ),
-            "auth_protocol_id": expr.case_when([(sso, 4), (api, 99)], 1, pa.int32()),  # :177-181
-            "dst_endpoint": expr.named_struct(  # :182
-                {"hostname": c.lit("atlassian.com"), "name": c.lit("Atlassian")}
-            ),
-            "observables": expr.struct_array_literal(  # :183-187
-                [
-                    _obs(c, "actor_id", "User Name", 4, c.s("actor_id")),
-                    _obs(c, "actor_email", "Email Address", 5, c.s("actor_email")),
-                    _obs(c, "src_ip", "IP Address", 2, c.s("location_ip")),
-                ]
-            ),
-            "enrichments": _enrich_atlassian(  # :188-192
-                c, token_id=True, risk_level_in_map=True,
-                source_map={"timezone": c.s("timezone"), "locale": c.s("message_locale")},
-            ),
-            "unmapped": expr.named_struct(  # :193-196
-                {"auth_type": c.s("auth_type"), "raw_data": c.s("data")}
-            ),
-        }
-
-    def _atlassian_authorize_session(self, c: _Ctx) -> dict:
-        """gold_atlassian_audit_logs.py:200-276."""
-        high = pc.equal(c.s("risk_level"), "high")
-        med = pc.equal(c.s("risk_level"), "medium")
-        sev_id = expr.case_when(
-            # :233-237 — note ELSE 2, not 1
-            [
-                (_OR(_risk_ge(c, 70), c.like("%revoked%"), high), 4),
-                (_OR(_risk_ge(c, 40), c.like("%granted%"), med), 3),
-            ],
-            2, pa.int32(),
-        )
-        act_id = expr.case_when(
-            # :239-243 — Add/Remove 5/6, NOT the Create/Update/Delete chain
-            [
-                (_OR(c.like("%granted%"), c.like("%assigned%"), c.like("%enabled%")), 5),
-                (_OR(c.like("%revoked%"), c.like("%removed%"), c.like("%disabled%")), 6),
-            ],
-            99, pa.int32(),
-        )
-        status_id, status = _status_const(c)
-        return {
-            "severity_id": sev_id,
-            "severity": _sev_names(sev_id, [(4, "High"), (3, "Medium")], "Low"),  # :238
-            "activity_id": act_id,
-            "activity_name": _sev_names(act_id, [(5, "Add"), (6, "Remove")], "Other"),  # :244
-            "status_id": status_id,
-            "status": status,
-            "time": c.a("_event_time", pa.timestamp("us")),
-            "actor": _actor_atlassian(c),  # :248-258
-            # :259 privileges = tags present ? array(tags) : NULL
-            "privileges": expr.single_item_list(c.s("tags"), mask=pc.is_valid(c.s("tags"))),
-            "observables": expr.struct_array_literal(  # :260-263
-                [
-                    _obs(c, "actor_id", "User Name", 4, c.s("actor_id")),
-                    _obs(c, "actor_email", "Email Address", 5, c.s("actor_email")),
-                ]
-            ),
-            "enrichments": _enrich_atlassian(  # :264-268
-                c, token_id=False, risk_level_in_map=False, source_map=None
-            ),
-            "unmapped": expr.named_struct(  # :269-274
-                {
-                    "auth_type": c.s("auth_type"),
-                    "tags": c.s("tags"),
-                    "changes": c.s("changes"),
-                    "raw_data": c.s("data"),
-                }
-            ),
-        }
-
-    def _atlassian_entity_management(self, c: _Ctx) -> dict:
-        """gold_atlassian_audit_logs.py:278-362 — the only source mapping to
-        Entity Management (3004)."""
-        high = pc.equal(c.s("risk_level"), "high")
-        med = pc.equal(c.s("risk_level"), "medium")
-        sev_id = expr.case_when(
-            # :311-316
-            [
-                (_OR(_risk_ge(c, 70), c.like("%deleted%"), high), 4),
-                (_OR(_risk_ge(c, 40), med), 3),
-                (c.like("%created%"), 2),
-            ],
-            1, pa.int32(),
-        )
-        act_id = expr.case_when(
-            [(c.like("%created"), 1), (c.like("%deleted"), 4)], 99, pa.int32()  # :318
-        )
-        status_id, status = _status_const(c)
-        kind = expr.case_when(
-            # :336-347
-            [
-                (c.like("%workspace%"), "Workspace"),
-                (c.like("%project%"), "Project"),
-                (c.like("%webhook%"), "Webhook"),
-            ],
-            "Entity", pa.string(),
-        )
-        return {
-            "severity_id": sev_id,
-            "severity": _sev_names(sev_id, [(4, "High"), (3, "Medium"), (2, "Low")], "Informational"),  # :317
-            "activity_id": act_id,
-            "activity_name": _sev_names(act_id, [(1, "Create"), (4, "Delete")], "Other"),  # :319
-            "status_id": status_id,
-            "status": status,
-            "time": c.a("_event_time", pa.timestamp("us")),
-            "actor": _actor_atlassian(c),  # :323-333
-            "resource": expr.named_struct(  # :334-350
-                {
-                    "uid": c.s("event_id"),
-                    "name": kind,
-                    "type": kind,
-                    "owner": expr.named_struct({"name": c.s("actor_name")}),
-                    "data": expr.null_map(c.n),
-                }
-            ),
-            "observables": expr.struct_array_literal(  # :351-354
-                [
-                    _obs(c, "actor_id", "User Name", 4, c.s("actor_id")),
-                    _obs(c, "actor_email", "Email Address", 5, c.s("actor_email")),
-                ]
-            ),
-            # :355-357 single source enrichment with timezone map
-            "enrichments": expr.struct_array_literal(
-                [
-                    _enr(c, "source", c.lit("atlassian"), "source_system",
-                         expr.map_literal({"timezone": c.s("timezone")}, c.n)),
-                ]
-            ),
-            "unmapped": expr.named_struct({"raw_data": c.s("data")}),  # :358-360
-        }
-
-    def _atlassian_group_management(self, c: _Ctx) -> dict:
-        """gold_atlassian_audit_logs.py:365-440."""
-        sev_id = expr.case_when(
-            [(c.like("%deleted%"), 3), (c.like("%created%"), 2)], 1, pa.int32()  # :398
-        )
-        act_id = expr.case_when(
-            # :400-406
-            [
-                (c.like("%created"), 1),
-                (c.like("%deleted"), 4),
-                (c.like("%member_added"), 5),
-                (c.like("%member_removed"), 6),
-            ],
-            99, pa.int32(),
-        )
-        status_id, status = _status_const(c)
-        return {
-            "severity_id": sev_id,
-            "severity": _sev_names(sev_id, [(3, "Medium"), (2, "Low")], "Informational"),  # :399
-            "activity_id": act_id,
-            "activity_name": _sev_names(
-                act_id, [(1, "Create"), (4, "Delete"), (5, "Add"), (6, "Remove")], "Other"
-            ),  # :407
-            "status_id": status_id,
-            "status": status,
-            "time": c.a("_event_time", pa.timestamp("us")),
-            "actor": _actor_atlassian(c),  # :411-421
-            "group": expr.named_struct(  # :422
-                {"uid": c.s("event_id"), "name": c.lit("Group"), "type": c.lit("Group")}
-            ),
-            "user": c.nulls(USER_STRUCT_T),  # :425 typed NULL
-            "observables": expr.struct_array_literal(  # :426-429
-                [
-                    _obs(c, "actor_id", "User Name", 4, c.s("actor_id")),
-                    _obs(c, "actor_email", "Email Address", 5, c.s("actor_email")),
-                ]
-            ),
-            # :430-432 single source enrichment, NULL map
-            "enrichments": expr.struct_array_literal(
-                [_enr(c, "source", c.lit("atlassian"), "source_system")]
-            ),
-            "unmapped": expr.named_struct(  # :433-438
-                {
-                    "event_id": c.s("event_id"),
-                    "action": c.action,
-                    "source": c.lit("atlassian"),
-                    "raw_data": c.s("data"),
-                }
-            ),
-        }

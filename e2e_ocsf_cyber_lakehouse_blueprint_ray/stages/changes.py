@@ -58,7 +58,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..state import manifest
-from ..table import Table
+from ..table import Table, align_to
 from .order import EDGE, fold_sorted
 
 _NET, _HASH, _KEY = "_net", "_h", "_k"
@@ -119,22 +119,6 @@ def _label(t: pa.Table, cols: list[str]) -> pa.Table:
     nz = t.filter(pc.not_equal(t[_NET], 0))
     change = pc.if_else(pc.greater(nz[_NET], 0), pa.scalar("added"), pa.scalar("removed"))
     return nz.select(cols).append_column("change", change)
-
-
-def _aligned(b: pa.Table, schema: pa.Schema) -> pa.Table:
-    """Rows under the target snapshot's schema: evolved (added) columns
-    null-fill for older files, so a row diffs as removed + added only when
-    its content actually changed under the target schema."""
-    return pa.table(
-        {
-            f.name: (
-                b[f.name].cast(f.type)
-                if f.name in b.schema.names
-                else pa.nulls(b.num_rows, f.type)
-            )
-            for f in schema
-        }
-    )
 
 
 def _signs(b: pa.Table, side: int) -> np.ndarray:
@@ -225,7 +209,8 @@ def _driver_net(table: Table, items: list[list], schema: pa.Schema) -> pa.Table:
     parts = []
     for path, side, _rows, _bytes in items:
         b = pq.read_table(os.path.join(table.dir, path))
-        parts.append(_aligned(b, schema).append_column(_NET, pa.array(_signs(b, side))))
+        # under the target schema a carried pre-evolution row nets to zero
+        parts.append(align_to(b, schema).append_column(_NET, pa.array(_signs(b, side))))
     t = pa.concat_tables(parts).combine_chunks()
     return _label(_net_table(t.append_column(_KEY, _content_key(t, cols)), cols), cols)
 
@@ -265,7 +250,7 @@ def _distributed_net(table: Table, items: list[list], schema: pa.Schema):
         # files, and pyarrow.dataset otherwise infers the read schema from
         # one sampled fragment — a pre-evolution sample would silently drop
         # evolved columns, so carried rows fail to cancel. With the pin,
-        # missing columns null-fill per fragment and _aligned is a cheap
+        # missing columns null-fill per fragment and align_to is a cheap
         # no-op.
         sides = []
         for side_val, its in sorted(groups.items()):
@@ -290,7 +275,7 @@ def _distributed_net(table: Table, items: list[list], schema: pa.Schema):
     # -- phase 1: hash-level netting over narrow partials -------------------
     def hash_partial(side_val: int):
         def fn(b: pa.Table) -> pa.Table:
-            h1, h2 = _hashes(_aligned(b, schema))
+            h1, h2 = _hashes(align_to(b, schema))
             signs = pa.array(_signs(b, side_val))
             return _hash_net(pa.table({"_h1": pa.array(h1), "_h2": pa.array(h2), _NET: signs}))
 
@@ -335,7 +320,7 @@ def _distributed_net(table: Table, items: list[list], schema: pa.Schema):
 
     def tag_subset(side_val: int):
         def fn(b: pa.Table) -> pa.Table:
-            a = _aligned(b, schema)
+            a = align_to(b, schema)
             h1, h2 = _hashes(a)
             c1, c2 = ray.get(cref)
             pos = np.searchsorted(c1, h1)

@@ -84,20 +84,43 @@ def spec_partition_codes(spec: str, batch: pa.Table) -> tuple[np.ndarray, np.nda
     raise ValueError(f"bad partition spec {spec!r}")
 
 
+def _align_array(arr: pa.Array, typ: pa.DataType) -> pa.Array:
+    if arr.type == typ:
+        return arr
+    if pa.types.is_struct(typ) and pa.types.is_struct(arr.type):
+        have = {f.name for f in arr.type}
+        children = [
+            _align_array(arr.field(f.name), f.type) if f.name in have else pa.nulls(len(arr), f.type)
+            for f in typ
+        ]
+        mask = pc.is_null(arr) if arr.null_count else None
+        return pa.StructArray.from_arrays(children, fields=list(typ), mask=mask)
+    if pa.types.is_list(typ) and pa.types.is_list(arr.type):
+        # rebase the offsets: from_arrays takes no null mask over a slice
+        lo, hi = arr.offsets[0].as_py(), arr.offsets[-1].as_py()
+        values = _align_array(arr.values.slice(lo, hi - lo), typ.value_type)
+        mask = pc.is_null(arr) if arr.null_count else None
+        return pa.ListArray.from_arrays(pc.subtract(arr.offsets, lo), values, type=typ, mask=mask)
+    return arr.cast(typ)
+
+
 def align_to(t: pa.Table, target: pa.Schema) -> pa.Table:
     """``t`` in the snapshot schema ``target``: a pre-evolution file
-    (mergeSchema analog) null-fills the columns added since it was written
-    and casts widened ones."""
+    (mergeSchema analog) null-fills the columns added since it was written,
+    structs gain the subfields added since (recursively, through lists), and
+    widened types cast."""
     if t.schema.equals(target):
         return t
-    return pa.table(
-        {
-            f.name: (
-                t[f.name].cast(f.type) if f.name in t.schema.names else pa.nulls(t.num_rows, f.type)
+    cols = {}
+    for f in target:
+        if f.name not in t.schema.names:
+            cols[f.name] = pa.nulls(t.num_rows, f.type)
+        else:
+            col = t[f.name]
+            cols[f.name] = pa.chunked_array(
+                [_align_array(c, f.type) for c in col.chunks], type=f.type
             )
-            for f in target
-        }
-    )
+    return pa.table(cols)
 
 
 def _prune(ents: pa.Table, predicates, partitions) -> pa.Table:

@@ -240,6 +240,74 @@ def test_gold_reference_case_chains():
     assert r["user"] is None  # :425 typed NULL struct
 
 
+#: (rows, sha256[:16] of str(schema), sha256[:16] of the rows as JSON) per
+#: flow for ``synth.audit_events(src, 125)`` (actor fields varied) with
+#: ``_ingest_time`` pinned.
+#: Recorded before the projection became spec-driven; a change to any name,
+#: message, observable, enrichment, unmapped field or column order moves it.
+_GOLD_PINNED = {
+    ("atlassian", "account_change"): (26, "056723e9a4474ab8", "bf1b00773d1f9aa7"),
+    ("atlassian", "authentication"): (15, "16118252ee7e1806", "1c577b6496dba09e"),
+    ("atlassian", "authorize_session"): (15, "7167834f3dccb1f2", "40030445a296151f"),
+    ("atlassian", "entity_management"): (14, "3536c954c381b1bd", "939f52c08bc12759"),
+    ("atlassian", "group_management"): (20, "486d17304e07a2c4", "f38678c9f8dcd682"),
+    ("github", "account_change"): (15, "056723e9a4474ab8", "85e2d7d5f0d7d5c0"),
+    ("github", "authentication"): (30, "16118252ee7e1806", "0746b947c535a85d"),
+    ("github", "authorize_session"): (18, "7167834f3dccb1f2", "c7b4c3caa0628deb"),
+    ("github", "group_management"): (14, "486d17304e07a2c4", "0153293dc42ae60a"),
+    ("github", "user_access"): (1, "1dda28a11716a2d2", "c5d85b14f3b233ff"),
+    ("slack", "account_change"): (20, "056723e9a4474ab8", "0eba37330b1d6771"),
+    ("slack", "authentication"): (16, "16118252ee7e1806", "13f5adc9adfe2474"),
+    ("slack", "authorize_session"): (6, "7167834f3dccb1f2", "7fb28ba312ca99a2"),
+    ("slack", "group_management"): (36, "486d17304e07a2c4", "28dac0dcebd47113"),
+    ("slack", "user_access"): (14, "1dda28a11716a2d2", "1ceaad013bab6397"),
+}
+
+
+def test_gold_projection_pinned():
+    """The whole gold output of every flow — schema (field order included)
+    and every value — equals the recorded projection, in-process."""
+    import datetime
+    import hashlib
+
+    import pyarrow as pa_
+
+    from e2e_ocsf_cyber_lakehouse_blueprint_ray.functions.meta import BronzeMeta
+    from e2e_ocsf_cyber_lakehouse_blueprint_ray.functions.ocsf import class_schema
+    from e2e_ocsf_cyber_lakehouse_blueprint_ray.functions.variant import SilverExtract
+
+    def sha(s):
+        return hashlib.sha256(s.encode()).hexdigest()[:16]
+
+    def vary(src, i, line):
+        # synth writes only user actors and no 'api-token'/sso auth types:
+        # vary them so the actor type and auth protocol CASEs both fire
+        doc = json.loads(line)
+        if src == "slack":
+            doc["actor"]["type"] = ["user", "bot", "service"][i % 3]
+        if src == "atlassian":
+            doc["attributes"]["actor"]["auth"]["authType"] = ["password", "api-token", "sso-okta"][i % 3]
+        return json.dumps(doc)
+
+    assert sorted(_GOLD_PINNED) == flows()
+    got = {}
+    for src, cls in flows():
+        lines = [vary(src, i, ln) for i, ln in enumerate(synth.audit_events(src, 125))]
+        raw = pa_.table({"text": pa_.array(lines), "path": pa_.array(["f"] * len(lines))})
+        silver = SilverExtract(src)(BronzeMeta(src)(raw))
+        i = silver.schema.get_field_index("_ingest_time")  # wall clock: pin it
+        pinned = pa_.array([datetime.datetime(2025, 1, 1)] * silver.num_rows,
+                           silver.schema.field(i).type)
+        silver = silver.set_column(i, "_ingest_time", pinned)
+        out = GoldTransform(src, cls)(silver)
+        assert out.num_rows >= 1, (src, cls)  # premise: every flow routes rows
+        assert out.schema.equals(class_schema(cls)), (src, cls)
+        got[(src, cls)] = (
+            out.num_rows, sha(str(out.schema)), sha(json.dumps(out.to_pylist(), default=str))
+        )
+    assert got == _GOLD_PINNED
+
+
 def test_gold_regex_routing_matches_reference_semantics(medallion):
     """Every routed row's action matches the class regex; rows matching no
     regex appear in no gold table."""
