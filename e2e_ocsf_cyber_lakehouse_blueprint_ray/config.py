@@ -26,20 +26,15 @@ class EngineConfig:
     small_file_fraction: float = 0.75
 
     # --- clustering -----------------------------------------------------
-    #: z-order time bucket (seconds). hash(conv_id) x ts-bucket interleave.
-    zorder_ts_bucket_s: int = 3600
-    #: bits per dimension for the space-filling curve.
-    curve_bits: int = 32
-    #: curve kind: "zorder" (bit interleave) or "hilbert" (fallback).
-    curve: str = "zorder"
     #: cluster mode="auto" sorts each partition in-task (no shuffle) when
     #: every partition's on-disk bytes fit under this bound; otherwise it
-    #: falls back to the global range-shuffle sort. In-task arrow sort beats
-    #: a distributed sort by ~10x until partitions stop fitting in a task.
+    #: falls back to the global range-shuffle sort. At 4 CPUs the in-task
+    #: sort took ~1/3 of the global sort's wall time and under half its CPU
+    #: at sf0.1 and sf1 (BASELINE.md, cluster sort A/B).
     partition_sort_max_bytes: int = 1024 * 1024 * 1024
 
     # --- execution ------------------------------------------------------
-    #: actor-pool size for rewrite stages (compaction / merge / cluster
+    #: task concurrency of rewrite stages (compaction / merge / cluster
     #: file writers). Sized to the node; tests override to 2-4.
     rewrite_concurrency: int = 8
     #: batch size for map_batches transform stages.

@@ -1,8 +1,8 @@
 """Stable hashing + space-filling-curve kernels (vectorized).
 
-Z-order key = bit-interleave of (high 32 bits of hash64(conv_id),
-ts-bucket) with a Hilbert-curve fallback behind the same interface —
-the engine's analog of the reference's liquid clustering
+The interleave kernels behind stages/cluster.cluster_key — Morton
+(Z-order) in 2 or N dimensions and a 2-D Hilbert curve — the engine's
+analog of the reference's liquid clustering
 (/root/reference/utilities/post_setup_ocsf_tables.py:40-53 ``ALTER TABLE ...
 CLUSTER BY (time)``; bronze ``cluster_by=["_event_date"]``
 bronze_github_audit_logs.py:32).
@@ -149,42 +149,6 @@ def hilbert_d2xy(order: int, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         t //= np.uint64(4)
         s <<= one
     return x, y
-
-
-def curve_key(
-    conv_hash: np.ndarray,
-    ts_us: np.ndarray,
-    *,
-    bucket_s: int,
-    curve: str = "zorder",
-    bits: int = 32,
-    ts_range: tuple[int, int] | None = None,
-) -> np.ndarray:
-    """Clustering key: interleave(hash(conv_id) high bits, ts coordinate).
-
-    The ts coordinate must OCCUPY the full ``bits`` range or the interleave
-    degenerates: a 1-hour bucket over a 30-day table fills only ~10 of 32
-    bits, every higher ts bit is zero, and the Morton order collapses to
-    conv-hash order (no time locality, no ts-stats pruning). So when
-    ``ts_range=(lo_us, hi_us)`` is known — the cluster job reads it for free
-    from manifest min/max stats — timestamps are min-max normalized onto the
-    full 2^bits range (standard Z-order practice). ``bucket_s`` is the
-    fallback when no range is available.
-    """
-    mask = (np.uint64(1) << np.uint64(bits)) - np.uint64(1)
-    a = (conv_hash >> np.uint64(64 - bits)) & mask
-    ts64 = ts_us.astype(np.int64)
-    if ts_range is not None and ts_range[1] > ts_range[0]:
-        lo, hi = ts_range
-        scaled = (ts64 - lo).astype(np.float64) * (float(int(mask)) / float(hi - lo))
-        b = np.clip(scaled, 0.0, float(int(mask))).astype(np.uint64)
-    else:
-        b = (ts64 // np.int64(bucket_s * 1_000_000)).astype(np.uint64) & mask
-    if curve == "zorder":
-        return morton2(a, b)
-    if curve == "hilbert":
-        return hilbert_xy2d(bits, a, b)
-    raise ValueError(f"unknown curve {curve!r}")
 
 
 def morton_nd(coords: list[np.ndarray], bits: int) -> np.ndarray:

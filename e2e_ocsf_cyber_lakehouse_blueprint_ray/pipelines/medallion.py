@@ -20,14 +20,14 @@ Silver and gold share one runner, ``Medallion._run_flows``: a silver job is
 the single-route case (bronze → silver), a gold job has one route per class.
 
 Incremental ("streaming table") semantics: each downstream flow records the
-upstream files it consumed in its target's lineage log; a re-run processes
-only upstream files added since — the S3 ``spark.readStream.table``
-exactly-once analog at file granularity.
+upstream files it consumed in its target's input ledger (state/lineage.py,
+the same one JSONL ingest uses); a re-run processes only upstream files
+added since — the S3 ``spark.readStream.table`` exactly-once analog at file
+granularity.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from collections.abc import Callable
 
@@ -95,31 +95,6 @@ class Medallion:
                 stats_cols=["time", "_source", "class_uid"],
             )
 
-    # -- incremental flow helper (S3 streaming-table analog) -------------
-
-    def _new_upstream_files(self, upstream: Table, downstream: Table, tag: str) -> list[str]:
-        log = lineage.read_log(downstream.dir)
-        seen: set[str] = set()
-        max_logged = -1
-        if log.num_rows:
-            for files, job, snap in zip(
-                log["input_files"].to_pylist(),
-                log["job_id"].to_pylist(),
-                log["snapshot_id"].to_pylist(),
-            ):
-                if job.startswith(f"flow-{tag}"):
-                    seen.update(files)
-                    max_logged = max(max_logged, int(snap))
-        # crash-window safety (mirrors sources/jsonl.consumed_files): commits
-        # record their consumed upstream files atomically in snapshot extras
-        for sid in manifest.list_snapshot_ids(downstream.dir):
-            if sid <= max_logged:
-                continue
-            raw = manifest.snapshot_extra(downstream.dir, sid).get("flow_inputs")
-            if raw:
-                seen.update(json.loads(raw).get(tag, []))
-        return [p for p in upstream.live_files() if p not in seen]
-
     def _run_flows(
         self,
         upstream: Table,
@@ -131,11 +106,11 @@ class Medallion:
         ``upstream``. One Ray Data job reads the new upstream files once;
         each batch goes through every route's transform and is written,
         partition-routed, into that route's sink. Each sink then gets its
-        own commit, which records the flow's consumed files
-        (``flow_inputs``) atomically, plus a lineage unit, so every flow is
-        exactly-once on its own. Routes see different new-file sets only
-        after a crash between two sink commits; each distinct set is read
-        separately. Returns ``{tag: snapshot id, or None if nothing new}``."""
+        own commit, which records the flow's consumed files in the input
+        ledger (state/lineage.py) under the op ``flow-<tag>``, so every
+        flow is exactly-once on its own. Routes see different new-file
+        sets only after a crash between two sink commits; each distinct set
+        is read separately. Returns ``{tag: snapshot id, or None if nothing new}``."""
         import ray.data as rd
 
         from ..stages.rewrite import limit_arrow_threads
@@ -143,8 +118,10 @@ class Medallion:
 
         out: dict[str, int | None] = {}
         by_files: dict[tuple[str, ...], list[str]] = {}
+        live = upstream.live_files()
         for tag, (sink, _, _) in routes.items():
-            new_files = tuple(self._new_upstream_files(upstream, sink, tag))
+            seen = lineage.consumed_inputs(sink.dir, f"flow-{tag}")
+            new_files = tuple(p for p in live if p not in seen)
             if new_files:
                 by_files.setdefault(new_files, []).append(tag)
             else:
@@ -181,23 +158,17 @@ class Medallion:
                 sink, _, schema = routes[tag]
                 mine = [e for e in entries if e["route"] == tag]
                 added = pa.Table.from_pylist(mine, schema=manifest.ENTRY_SCHEMA) if mine else None
+                op = f"flow-{tag}"
                 parent = sink.current_snapshot_id()
                 sid = sink.commit(
                     added=added,
                     removed=[],
-                    operation=f"flow-{tag}",
+                    operation=op,
                     use_actor=use_actor,
                     evolve_schema=schema,
-                    extra={"flow_inputs": json.dumps({tag: list(new_files)})},
+                    extra=lineage.inputs_extra(op, new_files),
                 )
-                job_id = lineage.job_id_for(f"flow-{tag}", parent, params="|".join(new_files))
-                lineage.save_unit(
-                    sink.dir,
-                    job_id,
-                    lineage.unit_id(list(new_files)),
-                    {"partition": "", "inputs": list(new_files), "input_rows": 0},
-                )
-                lineage.finalize_job(sink.dir, job_id, sid)
+                lineage.record_inputs(sink.dir, op, parent, sid, new_files)
                 out[tag] = sid
         return out
 

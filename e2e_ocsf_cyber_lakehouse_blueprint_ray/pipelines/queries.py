@@ -1048,11 +1048,11 @@ def q_incremental_view(sf_dir: str):
 
 def q_maint_cluster_multi_scan(sf_dir: str):
     """Generalized CLUSTER BY (conv_id, turn_idx, ts): 3-D Morton key over
-    hash/normalized coordinates, one range-shuffle sort, scan equality."""
+    hash/normalized coordinates, scan equality."""
     work = tempfile.mkdtemp(prefix="maint-", dir=cfg.scratch_dir())
     try:
         t = derive.build_maintenance_table(sf_dir, os.path.join(work, "tbl"), CONF)
-        cluster_mod.cluster_by_columns(t, ["conv_id", "turn_idx", "ts"])
+        cluster_mod.cluster(t, cols=["conv_id", "turn_idx", "ts"])
         return derive.sorted_scan_arrow(t)
     finally:
         shutil.rmtree(work, ignore_errors=True)

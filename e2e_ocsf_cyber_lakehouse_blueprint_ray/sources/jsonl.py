@@ -5,14 +5,12 @@ Reference: ``spark.readStream.format("cloudFiles")`` with
 checkpoint/schema location (/root/reference/transformations/pipelines/github/
 audit_logs/bronze_github_audit_logs.py:43-50; paths utilities/utils.py:29-39).
 
-Our exactly-once story is file-granularity: the set of consumed input files
-is recorded ATOMICALLY WITH the append commit, in the committed snapshot's
-extra metadata (``engine.x.ingest_inputs``), and mirrored into the lineage
-log (state/lineage.py) right after. ``consumed_files`` unions both, so there
-is no crash window in either direction: crash before the commit ⇒ nothing
-consumed, next run re-reads the new files (the append never became visible);
-crash between commit and lineage write ⇒ the snapshot metadata already names
-the files. Each ``ingest_jsonl`` call lists the directory, subtracts the
+Our exactly-once story is file-granularity: the consumed input files go
+through the input ledger of state/lineage.py — recorded ATOMICALLY WITH the
+append commit in its snapshot extras, mirrored into the lineage log, read
+back as the union of both — so a crash before the commit re-reads the new
+files (the append never became visible) and a crash after it re-reads
+nothing. Each ``ingest_jsonl`` call lists the directory, subtracts the
 consumed set, reads ONLY the new files (``ray.data.read_text`` → one row per
 JSON line, ``include_paths=True`` giving the reference's
 ``_metadata.file_path`` column, bronze_github_audit_logs.py:26), applies the
@@ -24,35 +22,10 @@ per-file-read, and the read itself streams.
 from __future__ import annotations
 
 import glob
-import json
 import os
 
-from ..state import lineage, manifest
+from ..state import lineage
 from ..table import Table
-
-
-def consumed_files(table: Table) -> set[str]:
-    out: set[str] = set()
-    log = lineage.read_log(table.dir)
-    max_logged = -1
-    if log.num_rows:
-        for files, job, snap in zip(
-            log["input_files"].to_pylist(),
-            log["job_id"].to_pylist(),
-            log["snapshot_id"].to_pylist(),
-        ):
-            if job.startswith("ingest"):
-                out.update(files)
-                max_logged = max(max_logged, int(snap))
-    # crash-window safety: snapshots committed after the newest finalized
-    # lineage record carry their consumed set in snapshot metadata
-    for sid in manifest.list_snapshot_ids(table.dir):
-        if sid <= max_logged:
-            continue
-        raw = manifest.snapshot_extra(table.dir, sid).get("ingest_inputs")
-        if raw:
-            out.update(json.loads(raw))
-    return out
 
 
 def ingest_jsonl(
@@ -69,7 +42,8 @@ def ingest_jsonl(
     (a map_batches callable class, e.g. functions.meta.BronzeMeta) into
     ``table``. Returns (snapshot_id | None, new_files)."""
     all_files = sorted(glob.glob(os.path.join(source_dir, pattern)))
-    new = [f for f in all_files if f not in consumed_files(table)]
+    consumed = lineage.consumed_inputs(table.dir, "ingest")
+    new = [f for f in all_files if f not in consumed]
     if not new:
         return None, []
 
@@ -87,21 +61,8 @@ def ingest_jsonl(
         concurrency=concurrency or cfg.rewrite_concurrency,
     )
     parent = table.current_snapshot_id()
-    job_id = lineage.job_id_for("ingest", parent, params="|".join(new))
-    # consumed-file record rides IN the commit (snapshot extra metadata) so
-    # it is atomic with data visibility; the lineage log below mirrors it
     sid = table.append_dataset(
-        out,
-        operation="ingest",
-        use_actor=use_actor,
-        extra={"ingest_inputs": json.dumps(sorted(new))},
+        out, operation="ingest", use_actor=use_actor, extra=lineage.inputs_extra("ingest", new)
     )
-    uid = lineage.unit_id(new)
-    lineage.save_unit(
-        table.dir,
-        job_id,
-        uid,
-        {"partition": "", "inputs": new, "input_rows": 0},
-    )
-    lineage.finalize_job(table.dir, job_id, sid)
+    lineage.record_inputs(table.dir, "ingest", parent, sid, new)
     return sid, new

@@ -3,25 +3,31 @@
 Reference analog: ``cluster_by=["_event_date"]`` on bronze/silver
 (/root/reference/transformations/pipelines/github/audit_logs/
 bronze_github_audit_logs.py:32) and ``ALTER TABLE ... CLUSTER BY (time)`` on
-the six gold tables (utilities/post_setup_ocsf_tables.py:40-53). Our key is
-the bit-interleave of (high bits of hash64(conv_id), ts-bucket) with a
-Hilbert-curve fallback (hashing.curve_key) so scans filtering on either
-conv_id or time ranges prune files via manifest min/max stats.
+the six gold tables (utilities/post_setup_ocsf_tables.py:40-53). One key,
+``cluster_key``, serves every table and both execution modes: the
+bit-interleave of one coordinate per clustering column — the high bits of
+hash64 for a string column, the table-wide min-max normalized value for a
+number or timestamp — on a Z-order curve, or a Hilbert curve for two
+columns. The default columns are (conv_id, ts), so scans filtering on either
+conv_id or time ranges prune files via manifest min/max stats; a key-less
+table clusters by its time column alone. Column ranges come from manifest
+stats, never from the rows a task holds, so both modes build the same key.
 
 Two execution modes:
 
 ``mode="global"`` — ONE Ray Data pipeline over every live file:
     read → map_batches(add _part,_zkey) → sort(["_part","_zkey"]) →
-    actor-pool writer (split each sorted batch at partition boundaries,
-    write target-size files, emit manifest entries) → single commit.
-    The sort is Ray's range-partitioned shuffle: this is the op's intended
-    scale path (spills via the object store; skewed hot conv_ids are fine
-    because their rows spread across ts-buckets of the curve).
+    stateless writer tasks (split each sorted batch at partition
+    boundaries, write target-size files, emit manifest entries) → single
+    commit. The sort is Ray's range-partitioned shuffle: the path for a
+    partition too large to sort in one task (spills via the object store;
+    skewed hot conv_ids are fine because their rows spread across
+    ts-buckets of the curve).
 
 ``mode="partition"`` — one bin per table partition, rewritten independently
-    on the actor pool with an in-memory zkey sort; per-partition lineage →
-    mid-job crash resume. Right choice when partitions are modest and
-    resumability matters more than cross-partition pipelining.
+    as a task with an in-memory key sort; per-partition lineage → mid-job
+    crash resume. ``mode="auto"`` picks it when every partition's on-disk
+    bytes fit under ``partition_sort_max_bytes``.
 """
 
 from __future__ import annotations
@@ -33,14 +39,17 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import EngineConfig
-from ..hashing import curve_key, hash64_column
+from ..hashing import hash64_column, hilbert_xy2d, morton2, morton_nd
 from ..state import lineage, manifest
 from ..state.manifest import ENTRY_SCHEMA
 from ..table import Table
 from . import rewrite
 
+#: the time column a default key uses: the first of these the table has
+_TIME_COLS = ("ts", "time", "_event_time")
 
-def _part_column(batch: pa.Table, spec: str, h: np.ndarray | None = None) -> pa.Array:
+
+def _part_column(batch: pa.Table, spec: str) -> pa.Array:
     """Per-row ``_part`` routing column for ANY partition spec: int32 codes
     for ``hash:`` (fast range-sort key) / ``none`` (-1 = root dir), the
     partition NAME string for ``col:`` specs (codes are batch-local there —
@@ -50,37 +59,12 @@ def _part_column(batch: pa.Table, spec: str, h: np.ndarray | None = None) -> pa.
 
     if spec.startswith("hash:"):
         n = int(spec.rsplit(":", 1)[1])
-        if h is None:
-            h = hash64_column(batch[spec.split(":")[1]])
+        h = hash64_column(batch[spec.split(":")[1]])
         return pa.array((h % np.uint64(n)).astype(np.int32))
     if spec == "none":
         return pa.array(np.full(batch.num_rows, -1, np.int32))
     codes, names = spec_partition_codes(spec, batch)
     return pa.array(names[codes], pa.string())
-
-
-def add_cluster_key(
-    batch: pa.Table,
-    *,
-    config: EngineConfig,
-    curve: str,
-    spec: str,
-    ts_range: tuple[int, int] | None = None,
-) -> pa.Table:
-    h = hash64_column(batch["conv_id"])
-    zk = curve_key(
-        h,
-        batch["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False),
-        bucket_s=config.zorder_ts_bucket_s,
-        curve=curve,
-        bits=config.curve_bits,
-        ts_range=ts_range,
-    )
-    # reuse the conv_id hash only when the spec's column segment IS conv_id
-    # (startswith would also match e.g. "hash:conv_id2:8" and mis-route rows)
-    reuse = spec.startswith("hash:") and spec.split(":")[1] == "conv_id"
-    part = _part_column(batch, spec, h if reuse else None)
-    return batch.append_column("_part", part).append_column("_zkey", pa.array(zk))
 
 
 def _stats_range(ents: pa.Table, col: str) -> tuple[int, int] | None:
@@ -91,25 +75,84 @@ def _stats_range(ents: pa.Table, col: str) -> tuple[int, int] | None:
     return (int(lo), int(hi)) if lo is not None and hi is not None else None
 
 
+def _is_text(typ: pa.DataType) -> bool:
+    return pa.types.is_string(typ) or pa.types.is_large_string(typ)
+
+
+def default_cols(names) -> list[str]:
+    """conv_id plus the table's time column; a key-less table clusters by
+    time alone — the reference's gold-table ``CLUSTER BY (time)``
+    (post_setup_ocsf_tables.py:44)."""
+    key = ["conv_id"] if "conv_id" in names else []
+    return key + [c for c in _TIME_COLS if c in names][:1]
+
+
+def cluster_key(
+    batch: pa.Table, cols: list[str], ranges: dict, curve: str = "zorder"
+) -> np.ndarray:
+    """Clustering key of each row of ``batch`` as a non-negative int64.
+
+    One coordinate per column of ``cols``, 63 // len(cols) bits wide: the
+    high bits of hash64 for a string column; for a number or timestamp
+    column the value min-max normalized over ``ranges[col]`` (the
+    table-wide manifest bounds — a time column is cut into 2^bits buckets
+    over the table's time range), or 0 when the column has no bounds. Two
+    coordinates interleave with ``morton2`` (zorder) or ``hilbert_xy2d``;
+    three or more with ``morton_nd`` (zorder only).
+    """
+    bits = 63 // len(cols)
+    mask = (np.uint64(1) << np.uint64(bits)) - np.uint64(1)
+    top = float(int(mask))
+    coords = []
+    for c in cols:
+        col = batch[c]
+        rng = ranges.get(c)
+        if _is_text(col.type):
+            coords.append(hash64_column(col) >> np.uint64(64 - bits))
+        elif rng is None or rng[1] <= rng[0]:
+            coords.append(np.zeros(batch.num_rows, np.uint64))
+        else:
+            lo, hi = rng
+            v = col if pa.types.is_floating(col.type) else col.cast(pa.int64())
+            v = pc.fill_null(v, lo).to_numpy(zero_copy_only=False).astype(np.float64)
+            scaled = np.clip((v - lo) * (top / (hi - lo)), 0.0, top)
+            # float(mask) rounds up to 2^63 for one 63-bit coordinate
+            coords.append(np.minimum(scaled.astype(np.uint64), mask))
+    if len(coords) == 1:
+        key = coords[0]
+    elif curve == "zorder":
+        key = morton2(*coords) if len(coords) == 2 else morton_nd(coords, bits)
+    elif curve == "hilbert" and len(coords) == 2:
+        key = hilbert_xy2d(bits, *coords)
+    else:
+        raise ValueError(f"curve {curve!r} cannot cluster {len(cols)} columns")
+    return key.astype(np.int64)
+
+
+def _add_key(batch: pa.Table, *, key, spec: str) -> pa.Table:
+    """Global-mode routing and sort columns: ``_part`` by the table's spec
+    (hash:/col:/none, so manifest partition names keep matching it) and
+    ``_zkey``."""
+    return batch.append_column("_part", _part_column(batch, spec)).append_column(
+        "_zkey", pa.array(key(batch))
+    )
+
+
 def _write_sorted_batch(
     batch: pa.Table,
     *,
     table_dir: str,
     config: EngineConfig,
-    bytes_per_row: float,
+    rows_per_file: int,
     stats_cols: list[str],
 ) -> pa.Table:
     """Write one sorted batch as data files, splitting at partition
-    boundaries. A stateless task fn (no actor pool on the critical path);
-    the upstream batch_size is already target-file-sized."""
+    boundaries. A stateless task fn; the upstream batch_size is already
+    target-file-sized."""
     import uuid
 
     rewrite.limit_arrow_threads()
     table = Table(table_dir, config)
-    rows_per_file = max(
-        1,
-        min(config.max_rows_per_file, int(config.target_file_bytes / max(1.0, bytes_per_row))),
-    )
     wid = uuid.uuid4().hex[:10]
     seq = 0
     entries = []
@@ -149,7 +192,6 @@ def _global_sort_write(
     cfg = table.config
     total_rows = int(pc.sum(ents["rows"]).as_py() or 0)
     total_bytes = int(pc.sum(ents["bytes"]).as_py() or 0)
-    bpr = total_bytes / max(1, total_rows)
     conc = max(1, concurrency or cfg.rewrite_concurrency)
     # Size the sort's partition count from the data, not Ray's min-200-
     # blocks default: on a ~100 MB table that default makes 200+ 0.5 MB
@@ -163,12 +205,12 @@ def _global_sort_write(
     ds = ds.sort(["_part", "_zkey"])
     # batch the writer at target-file granularity so output files land
     # near target_file_bytes instead of one file per sorted block
-    writer_rows = max(1, min(cfg.max_rows_per_file, int(cfg.target_file_bytes / max(1.0, bpr))))
+    rpf = rewrite.rows_per_file(cfg, total_rows, total_bytes)
     ent_ds = ds.map_batches(
         _write_sorted_batch,
-        fn_kwargs=dict(table_dir=table.dir, config=cfg, bytes_per_row=bpr, stats_cols=stats_cols),
+        fn_kwargs=dict(table_dir=table.dir, config=cfg, rows_per_file=rpf, stats_cols=stats_cols),
         batch_format="pyarrow",
-        batch_size=writer_rows,
+        batch_size=rpf,
         concurrency=conc,
     )
     rows = ent_ds.take_all()  # manifest entries only — data stays distributed
@@ -191,31 +233,33 @@ def plan_partition_bins(ents: pa.Table) -> list[dict]:
 def cluster(
     table: Table,
     *,
+    cols: list[str] | None = None,
     mode: str = "auto",
-    curve: str | None = None,
-    key_col: str | None = None,
-    ts_col: str | None = None,
+    curve: str = "zorder",
     concurrency: int | None = None,
     use_actor: bool = False,
     fail_after: int | None = None,
 ) -> int | None:
+    """Cluster the table on ``cols`` (default: ``default_cols``) — the
+    ``ALTER TABLE ... CLUSTER BY (c1, c2, ...)`` analog — and commit the
+    rewritten files as one content-preserving snapshot."""
     cfg = table.config
-    curve = curve or cfg.curve
     parent = table.current_snapshot_id()
     ents, meta = table.snapshot(parent)
     if ents.num_rows == 0:
         return None
-    removed = ents["path"].to_pylist()
     sch = meta["schema"]
+    cols = list(cols) if cols else default_cols(sch.names)
+    if not cols:
+        raise ValueError("no clustering columns: pass cols=")
+    for c in cols:
+        if c not in sch.names:
+            raise ValueError(f"unknown cluster column {c!r}")
+    if curve not in ("zorder", "hilbert"):
+        raise ValueError(f"unknown curve {curve!r}")
+    ranges = {c: _stats_range(ents, c) for c in cols if not _is_text(sch.field(c).type)}
+    key = functools.partial(cluster_key, cols=cols, ranges=ranges, curve=curve)
     stats_cols = manifest.stats_cols(meta)
-    names = set(sch.names) if sch is not None else set()
-    if ts_col is None:
-        ts_col = next((c for c in ("ts", "time", "_event_time") if c in names), "ts")
-    if key_col is None:
-        key_col = "conv_id" if "conv_id" in names else ""
-    # no key column ⇒ clustering degenerates to a pure time sort per
-    # partition — the reference's gold-table ``CLUSTER BY (time)``
-    # (post_setup_ocsf_tables.py:44)
 
     if mode == "auto":
         part_bytes = ents.group_by("partition").aggregate([("bytes", "sum")])["bytes_sum"]
@@ -224,7 +268,7 @@ def cluster(
             if pc.max(part_bytes).as_py() <= cfg.partition_sort_max_bytes
             else "global"
         )
-    job_id = lineage.job_id_for(f"cluster-{curve}-{mode}", parent)
+    job_id = lineage.job_id_for(f"cluster-{curve}-{mode}", parent, ",".join(cols))
 
     if mode == "partition":
         added = rewrite.run_bins(
@@ -234,112 +278,21 @@ def cluster(
             concurrency=concurrency,
             schema=sch,
             stats_cols=stats_cols,
-            sort_mode="zorder",
-            curve=curve,
-            cluster_key_col=key_col or "__missing__",
-            cluster_ts_col=ts_col,
+            cluster_key=key,
             fail_after=fail_after,
         )
     elif mode == "global":
-        if not key_col or key_col not in names:
-            raise ValueError(
-                "global cluster mode needs the hash key column "
-                "(conv_id); key-less tables cluster per partition"
-            )
-        added = _global_sort_write(
-            table,
-            parent,
-            ents,
-            stats_cols,
-            functools.partial(
-                add_cluster_key,
-                config=cfg,
-                curve=curve,
-                spec=meta["partition_spec"],
-                ts_range=_stats_range(ents, "ts"),
-            ),
-            concurrency,
-        )
+        add_key = functools.partial(_add_key, key=key, spec=meta["partition_spec"])
+        added = _global_sort_write(table, parent, ents, stats_cols, add_key, concurrency)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
     return table.commit(
         added=added,
-        removed=removed,
+        removed=ents["path"].to_pylist(),
         operation=f"cluster-{curve}",
         expected_parent=parent,
         use_actor=use_actor,
         job_id=job_id,
-        changes=[],  # content-preserving: no row changed
-    )
-
-
-def cluster_by_columns(
-    table: Table,
-    cols: list[str],
-    *,
-    concurrency: int | None = None,
-    use_actor: bool = False,
-) -> int | None:
-    """Generalized liquid clustering: Z-order on ANY column set (the
-    ``ALTER TABLE ... CLUSTER BY (c1, c2, ...)`` analog beyond the built-in
-    (conv_id, ts) pair). Per column coordinate: numeric/timestamp columns
-    min-max normalize onto 2^bits using manifest stats (free), string
-    columns use hash64 high bits; coordinates interleave via
-    ``hashing.morton_nd`` with 64 // ndim bits each. Execution is the same
-    global pipeline as ``cluster(mode="global")``: one range-shuffle sort
-    on (_part, _zkey), target-size file writer, single commit."""
-    from ..hashing import morton_nd
-
-    parent = table.current_snapshot_id()
-    ents, meta = table.snapshot(parent)
-    if ents.num_rows == 0 or not cols:
-        return None
-    removed = ents["path"].to_pylist()
-    sch = meta["schema"]
-    for c in cols:
-        if c not in sch.names:
-            raise ValueError(f"unknown cluster column {c!r}")
-    # 63, not 64: the sort key rides as int64 and must stay non-negative
-    bits = 63 // len(cols)
-    ranges = {
-        c: _stats_range(ents, c) for c in cols if not pa.types.is_string(sch.field(c).type)
-    }
-    spec = meta["partition_spec"]
-
-    def add_key(batch: pa.Table) -> pa.Table:
-        mask = (np.uint64(1) << np.uint64(bits)) - np.uint64(1)
-        coords = []
-        for c in cols:
-            col = batch[c]
-            if pa.types.is_string(col.type):
-                coords.append((hash64_column(col) >> np.uint64(64 - bits)) & mask)
-                continue
-            v = col.cast(pa.int64()).to_numpy(zero_copy_only=False).astype(np.float64)
-            rng = ranges.get(c)
-            if rng and rng[1] > rng[0]:
-                scaled = (v - rng[0]) * (float(int(mask)) / float(rng[1] - rng[0]))
-                coords.append(np.clip(scaled, 0, float(int(mask))).astype(np.uint64))
-            else:
-                coords.append(np.zeros(batch.num_rows, np.uint64))
-        zk = morton_nd(coords, bits)
-        # route by the table's ACTUAL spec (hash:/col:/none) so manifest
-        # partition names keep matching it — a 'col:'-partitioned table
-        # previously collapsed every row into partition '' here, breaking
-        # partition-scoped scans and MERGE/DELETE routing afterwards
-        part = _part_column(batch, spec)
-        return batch.append_column("_part", part).append_column(
-            "_zkey", pa.array(zk.astype(np.int64))
-        )
-
-    added = _global_sort_write(
-        table, parent, ents, manifest.stats_cols(meta), add_key, concurrency
-    )
-    return table.commit(
-        added=added,
-        removed=removed,
-        operation=f"cluster-by-{'-'.join(cols)}",
-        expected_parent=parent,
-        use_actor=use_actor,
         changes=[],  # content-preserving: no row changed
     )

@@ -6,8 +6,8 @@ Analog of the reference's declarative auto-compaction
 job. The plan is computed driver-side FROM THE MANIFEST ONLY (a few KB —
 never the data): per partition, files smaller than
 ``small_file_fraction × target_file_bytes`` are greedily first-fit packed
-into bins capped at ``target_file_bytes``; each bin rewrites independently on
-the actor pool with a per-file sort on (conv_id, turn_idx) — no shuffle at
+into bins capped at ``target_file_bytes``; each bin rewrites independently as
+a task with a per-file sort on (conv_id, turn_idx) — no shuffle at
 any point, which is why this op scales near-linearly with cores/nodes.
 """
 
@@ -81,7 +81,6 @@ def compact(
         concurrency=concurrency,
         schema=sch,
         stats_cols=manifest.stats_cols(meta),
-        sort_mode="key" if sort_key else "none",
         sort_key=sort_key,
         fail_after=fail_after,
     )

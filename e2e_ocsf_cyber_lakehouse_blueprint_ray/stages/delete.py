@@ -92,7 +92,6 @@ def delete_where(
         concurrency=concurrency,
         schema=meta["schema"],
         stats_cols=manifest.stats_cols(meta),
-        sort_mode="key",
         sort_key=["conv_id", "turn_idx"],
         delete_range=(col, lo, hi),
         fail_after=fail_after,

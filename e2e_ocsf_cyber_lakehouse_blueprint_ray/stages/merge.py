@@ -193,7 +193,6 @@ def merge(
         concurrency=concurrency,
         schema=tbl_schema,
         stats_cols=manifest.stats_cols(meta),
-        sort_mode="key",
         sort_key=["conv_id", "turn_idx"],
         extra_rows_ref=ex_ref,
         delete_keys_ref=dk_ref,

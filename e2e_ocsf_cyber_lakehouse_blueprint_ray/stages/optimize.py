@@ -20,7 +20,7 @@ def optimize(
     table: Table,
     *,
     cluster: bool = True,
-    curve: str | None = None,
+    curve: str = "zorder",
     expire_keep_last: int | None = None,
     concurrency: int | None = None,
     use_actor: bool = False,

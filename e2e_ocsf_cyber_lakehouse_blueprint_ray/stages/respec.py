@@ -7,8 +7,8 @@ count and partition key are the equivalent layout decisions for this
 engine, and growing a table 1000× makes the original partition count wrong.
 
 Shape: one streaming pass — scan the current snapshot, route every batch
-by the NEW spec through the shared staging writer (actor-amortized Parquet
-writers, per-file stats + blooms recomputed), then ONE atomic commit that
+by the NEW spec through the shared staging writer (stateless writer tasks,
+per-file stats + blooms recomputed), then ONE atomic commit that
 swaps in the new file set and the new spec. Readers pinned to older
 snapshots keep the old layout (specs are per-snapshot metadata); time
 travel across the respec works because each snapshot carries its own spec.

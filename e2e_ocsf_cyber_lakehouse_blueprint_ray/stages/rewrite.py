@@ -7,10 +7,11 @@ entries. The bin is the unit of parallelism, retry and resume — this is why
 compaction scales near-linearly: there is NO shuffle, just independent
 bounded-size rewrite tasks (SURVEY.md §7 step 3).
 
-Execution shape: ``ray.data.from_items(bins).map_batches(BinRewriter,
-concurrency=N, batch_size=1)`` — an actor pool so each worker re-uses its
-Parquet writer/compression state across bins (the reference gets this from
-``delta.autoOptimize`` executors, /root/reference/utilities/utils.py:86-87).
+Execution shape: ``ray.data.from_items(bins).map_batches(rewrite_bin,
+concurrency=N)`` — stateless tasks, a few bins each, on Ray's warm workers
+(no actor pool to spin up; see ``run_bins``). The reference gets the same
+bounded-file rewrites from ``delta.autoOptimize`` executors,
+/root/reference/utilities/utils.py:86-87.
 
 Idempotent resume: unit_id = blake2b(sorted inputs + params); a completed
 unit's lineage record (state/lineage.py) short-circuits the work, and output
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Callable
 
 import numpy as np
 import pyarrow as pa
@@ -36,7 +38,6 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..config import EngineConfig
-from ..hashing import curve_key, hash64_column
 from ..state import lineage, manifest
 from ..state.manifest import ENTRY_SCHEMA
 from ..table import Table, align_to
@@ -97,21 +98,31 @@ def pack_bins(paths, by_path: dict, cap: int) -> list[list[str]]:
     return bins
 
 
+def rows_per_file(config: EngineConfig, in_rows: int, in_bytes: int) -> int:
+    """Rows per output file so files of rows averaging ``in_bytes /
+    in_rows`` land near ``target_file_bytes``, capped at
+    ``max_rows_per_file``."""
+    if in_rows <= 0 or in_bytes <= 0:
+        return config.max_rows_per_file
+    per_row = max(1.0, in_bytes / in_rows)
+    return max(1, min(config.max_rows_per_file, int(config.target_file_bytes / per_row)))
+
+
 class FailInjected(RuntimeError):
     """Raised by tests to simulate a mid-job crash."""
 
 
 class BinRewriter:
-    """Actor-pool callable: one bin descriptor row in → manifest entries out.
+    """Per-task callable: bin descriptor rows in → manifest entries out.
 
     ``schema`` / ``stats_cols``: the job's snapshot schema (inputs are
     aligned to it) and the stats columns of the files it writes, resolved
     once on the driver so no task re-reads the snapshot.
 
-    ``sort_mode``:
-      "key"     — sort rows by ``sort_key`` (compaction, merge)
-      "zorder"  — compute curve key from (conv_id, ts), sort by it, drop it
-      "none"    — keep input order
+    Row order of the written files: by ``cluster_key(rows)`` — an int64
+    key per row (clustering, stages/cluster.cluster_key) — when given, else
+    by the columns of ``sort_key`` the rows have (compaction, merge), else
+    input order.
     ``extra_rows_ref``: ObjectRef of {partition: ObjectRef(ipc bytes)} to
     union into the bin (MERGE upserts). Two-level refs on purpose: the outer
     dict is tiny, and a task ray.gets ONLY its own partition's payload —
@@ -129,11 +140,8 @@ class BinRewriter:
         *,
         schema: pa.Schema,
         stats_cols: list[str],
-        sort_mode: str = "key",
         sort_key: list[str] | None = None,
-        curve: str | None = None,
-        cluster_key_col: str = "conv_id",
-        cluster_ts_col: str = "ts",
+        cluster_key: Callable[[pa.Table], np.ndarray] | None = None,
         extra_rows_ref=None,
         delete_keys_ref=None,
         delete_range: tuple | None = None,
@@ -145,11 +153,8 @@ class BinRewriter:
         self.table = Table(table_dir, config)
         self.config = config
         self.job_id = job_id
-        self.sort_mode = sort_mode
-        self.sort_key = sort_key or ["conv_id", "turn_idx"]
-        self.curve = curve or config.curve
-        self.cluster_key_col = cluster_key_col
-        self.cluster_ts_col = cluster_ts_col
+        self.sort_key = sort_key or []
+        self.cluster_key = cluster_key
         self.extra = ray.get(extra_rows_ref) if extra_rows_ref is not None else {}
         self.delete_keys = ray.get(delete_keys_ref) if delete_keys_ref is not None else {}
         #: (col, lo, hi): drop rows with lo <= col <= hi (DELETE WHERE rewrite;
@@ -159,8 +164,8 @@ class BinRewriter:
         self.stats_cols = stats_cols
         self.fail_after = fail_after
         #: per-__call__ cache of prefetched broadcast payloads; lives only
-        #: for one batch so a long-lived actor never accumulates every
-        #: touched partition's payload in its heap (round-4 advice)
+        #: for one batch, so a rewriter called on several batches never
+        #: accumulates every touched partition's payload in its heap
         self._resolved: dict[tuple[str, str], object] = {}
 
     # -- helpers ---------------------------------------------------------
@@ -225,41 +230,13 @@ class BinRewriter:
         return t, changed
 
     def _sorted(self, t: pa.Table) -> pa.Table:
-        if self.sort_mode == "none" or t.num_rows == 0:
-            return t
-        if self.sort_mode == "zorder":
-            tcol = self.cluster_ts_col
-            ts64 = t[tcol].cast(pa.int64()).to_numpy(zero_copy_only=False)
-            # normalize ts within the bin (per-partition clustering orders
-            # rows locally, so the local min/max IS the right range)
-            rng = (int(ts64.min()), int(ts64.max())) if len(ts64) else None
-            if self.cluster_key_col in t.schema.names:
-                zk = curve_key(
-                    hash64_column(t[self.cluster_key_col]),
-                    ts64,
-                    bucket_s=self.config.zorder_ts_bucket_s,
-                    curve=self.curve,
-                    bits=self.config.curve_bits,
-                    ts_range=rng,
-                )
-                idx = pc.sort_indices(pa.table({"z": zk}), sort_keys=[("z", "ascending")])
-                return t.take(idx)
-            # no key column (e.g. gold tables): clustering degenerates to a
-            # pure time sort — exactly the reference's CLUSTER BY (time)
-            idx = pc.sort_indices(t, sort_keys=[(tcol, "ascending")])
-            return t.take(idx)
+        if self.cluster_key is not None:
+            return t.take(pc.sort_indices(pa.array(self.cluster_key(t))))
         keys = [k for k in self.sort_key if k in t.schema.names]
         if not keys:
             return t
         idx = pc.sort_indices(t, sort_keys=[(k, "ascending") for k in keys])
         return t.take(idx)
-
-    def _split_rows(self, in_rows: int, in_bytes: int, total_rows: int) -> int:
-        """Output rows/file sized so files land near target_file_bytes."""
-        if in_rows <= 0 or in_bytes <= 0:
-            return self.config.max_rows_per_file
-        per_row = max(1.0, in_bytes / in_rows)
-        return max(1, min(self.config.max_rows_per_file, int(self.config.target_file_bytes / per_row)))
 
     # -- per-bin work ----------------------------------------------------
 
@@ -300,7 +277,7 @@ class BinRewriter:
             )
         if t is not None and t.num_rows:
             t = self._sorted(t)
-            rpf = self._split_rows(int(unit["in_rows"]), int(unit["in_bytes"]), t.num_rows)
+            rpf = rows_per_file(self.config, int(unit["in_rows"]), int(unit["in_bytes"]))
             k = 0
             for off in range(0, t.num_rows, rpf):
                 sl = t.slice(off, rpf)
@@ -327,8 +304,8 @@ class BinRewriter:
         batched get per task keeps the two-level-broadcast property (a task
         still fetches only its own partitions' payloads) while collapsing
         the round trips. The cache is cleared after the batch so a
-        long-lived actor's heap holds at most one batch's partitions worth
-        of payload, never the whole job's (round-4 advice)."""
+        rewriter holds at most one batch's partitions worth of payload,
+        never the whole job's."""
         import ray
 
         need: dict[tuple[str, str], object] = {}

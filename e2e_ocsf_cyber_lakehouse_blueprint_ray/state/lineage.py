@@ -28,6 +28,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from . import manifest
 from .manifest import CHANGE_DIR, ENTRY_SCHEMA
 
 LINEAGE_DIR = "_lineage"
@@ -144,3 +145,52 @@ def read_log(table_dir: str) -> pa.Table:
     if not files:
         return LOG_SCHEMA.empty_table()
     return pa.concat_tables([pq.read_table(f) for f in files])
+
+
+# -- exactly-once input ledger -------------------------------------------------
+#
+# An input-consuming op (JSONL ingest, a medallion flow) names the files it
+# consumed in its commit's snapshot extras — atomic with the data becoming
+# visible — and mirrors them into the lineage log right after. The reader
+# unions both, so there is no crash window in either direction: crash before
+# the commit ⇒ nothing consumed; crash between commit and lineage write ⇒
+# the snapshot already names the files.
+
+#: snapshot-extras key of an input-consuming commit: JSON ``{op: [files]}``
+INPUTS_EXTRA = "inputs"
+
+
+def inputs_extra(op: str, inputs) -> dict:
+    """The commit ``extra`` recording that an ``op`` commit consumes
+    ``inputs``."""
+    return {INPUTS_EXTRA: json.dumps({op: sorted(inputs)})}
+
+
+def record_inputs(table_dir: str, op: str, parent: int | None, snapshot_id: int, inputs) -> None:
+    """Mirror the inputs of the committed ``op`` into the lineage log."""
+    inputs = list(inputs)
+    job_id = job_id_for(op, parent, "|".join(inputs))
+    save_unit(
+        table_dir, job_id, unit_id(inputs), {"partition": "", "inputs": inputs, "input_rows": 0}
+    )
+    finalize_job(table_dir, job_id, snapshot_id)
+
+
+def consumed_inputs(table_dir: str, op: str) -> set[str]:
+    """Every file an ``op`` commit consumed: the lineage log's ``op`` jobs,
+    plus the extras of snapshots committed after the newest logged one."""
+    log = read_log(table_dir)
+    out: set[str] = set()
+    max_logged = -1
+    for files, job, snap in zip(
+        log["input_files"].to_pylist(), log["job_id"].to_pylist(), log["snapshot_id"].to_pylist()
+    ):
+        if job.rsplit("-", 2)[0] == op:  # job_id_for(op, parent, params)
+            out.update(files)
+            max_logged = max(max_logged, int(snap))
+    for sid in manifest.list_snapshot_ids(table_dir):
+        if sid > max_logged:
+            raw = manifest.snapshot_extra(table_dir, sid).get(INPUTS_EXTRA)
+            if raw:
+                out.update(json.loads(raw).get(op, []))
+    return out

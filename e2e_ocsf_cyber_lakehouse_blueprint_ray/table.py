@@ -14,9 +14,10 @@ Partition specs:
     "none"            — single dir
 
 Scale notes: scans return a lazy ``ray.data.Dataset`` over the pruned file
-list; appends stream through an actor-pool writer stage (one Parquet writer
-per actor, batches routed to partition dirs); only the manifest commit — a
-few KB of metadata per thousand files — touches the driver/metastore.
+list; appends stream through a stage of stateless writer tasks (each batch's
+rows routed to partition dirs, one Parquet file per partition per batch);
+only the manifest commit — a few KB of metadata per thousand files — touches
+the driver/metastore.
 """
 
 from __future__ import annotations
@@ -292,14 +293,24 @@ class Table:
         # inert. (Ray 2.49.2 raises UnboundLocalError when partitioning=None
         # is combined with an explicit column list, so only disable inference
         # on full-schema scans.)
-        if columns is None:
-            read_kwargs.setdefault("partitioning", None)
-        # pin the (projected) snapshot schema so evolved columns survive
-        # whatever file the reader samples first: pyarrow.dataset infers from
-        # one fragment, and a pre-evolution fragment would silently DROP
-        # columns newer files carry (pre-evolution files null-fill)
-        read_kwargs.setdefault("schema", sch)
-        return rd.read_parquet(paths, columns=columns, **read_kwargs)
+        if not any(pa.types.is_nested(f.type) for f in sch):
+            if columns is None:
+                read_kwargs.setdefault("partitioning", None)
+            # pin the (projected) snapshot schema so evolved columns survive
+            # whatever file the reader samples first: pyarrow.dataset infers
+            # from one fragment, and a pre-evolution fragment would silently
+            # DROP columns newer files carry (pre-evolution files null-fill)
+            read_kwargs.setdefault("schema", sch)
+            return rd.read_parquet(paths, columns=columns, **read_kwargs)
+        # A pinned schema cannot cast a pre-evolution struct<a> to the
+        # snapshot's struct<a,b>, and a projected read of a file lacking a
+        # column raises: read whole files in their own schemas and align
+        # (and project) each block instead.
+        read_kwargs.setdefault("partitioning", None)
+        ds = rd.read_parquet(paths, **read_kwargs)
+        return ds.map_batches(
+            align_to, fn_kwargs={"target": sch}, batch_format="pyarrow", batch_size=None
+        )
 
     def read_arrow(
         self,
@@ -458,11 +469,11 @@ class Table:
         evolve_schema: pa.Schema | None = None,
         extra: dict | None = None,
     ) -> int:
-        """Append a Ray Dataset: an actor-pool writer stage routes each
-        batch's rows to partition dirs and writes Parquet files (one writer
-        amortized per actor); only the manifest entries — a few hundred bytes
-        per file — come back to the driver for a single commit. The data
-        itself never materializes on the driver."""
+        """Append a Ray Dataset: a stage of stateless writer tasks routes
+        each batch's rows to partition dirs and writes Parquet files; only
+        the manifest entries — a few hundred bytes per file — come back to
+        the driver for a single commit. The data itself never materializes
+        on the driver."""
         added = self.stage_dataset_files(
             ds, sort_within_file=sort_within_file, name_prefix=name_prefix
         )

@@ -47,12 +47,34 @@ def test_hilbert_distinct_and_bounded():
     assert int(d.max()) < 4 ** order
 
 
-def test_curve_key_both_curves():
-    h = np.array([hx.hash64_str("conv-1"), hx.hash64_str("conv-2")], dtype=np.uint64)
-    ts = np.array([0, 3_600_000_000], dtype=np.int64)
-    for c in ("zorder", "hilbert"):
-        k = hx.curve_key(h, ts, bucket_s=3600, curve=c)
-        assert k.dtype == np.uint64 and len(k) == 2
+def test_cluster_key_both_curves():
+    """Two columns: the hash's high 31 bits and the ts normalized over its
+    range onto 2^31 buckets, interleaved on either curve into a
+    non-negative int64. One column is the coordinate itself; three columns
+    interleave on the Z-order curve only."""
+    import pytest
+
+    from e2e_ocsf_cyber_lakehouse_blueprint_ray.stages.cluster import cluster_key
+
+    convs = ["conv-1", "conv-2", "conv-1"]
+    # a ts range of exactly 2^31 - 1 µs maps each µs onto one bucket
+    ts = np.array([0, 2**30, 2**31 - 1], dtype=np.int64)
+    b = pa.table({"conv_id": convs, "ts": pa.array(ts).cast(pa.timestamp("us")), "n": [3, 1, 2]})
+    ranges = {"ts": (0, 2**31 - 1), "n": (1, 3)}
+    a = np.array([hx.hash64_str(c) for c in convs], dtype=np.uint64) >> np.uint64(33)
+    t = ts.astype(np.uint64)
+    want = {"zorder": hx.morton2(a, t), "hilbert": hx.hilbert_xy2d(31, a, t)}
+    for curve in ("zorder", "hilbert"):
+        k = cluster_key(b, ["conv_id", "ts"], ranges, curve)
+        assert k.dtype == np.int64 and (k >= 0).all()
+        assert k.tolist() == want[curve].astype(np.int64).tolist()
+        # one column: the key orders rows as the column does
+        assert np.argsort(cluster_key(b, ["ts"], ranges, curve)).tolist() == [0, 1, 2]
+    assert (cluster_key(b, ["conv_id", "n", "ts"], ranges) >= 0).all()
+    # a column without manifest bounds gives coordinate 0
+    assert cluster_key(b, ["n"], {}).tolist() == [0, 0, 0]
+    with pytest.raises(ValueError):
+        cluster_key(b, ["conv_id", "n", "ts"], ranges, "hilbert")
 
 
 def test_morton_nd_matches_scalar_reference():

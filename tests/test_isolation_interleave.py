@@ -26,7 +26,6 @@ def test_append_between_plan_and_commit_survives(tmp_table_dir, ray_session):
         job_id,
         schema=t.schema(parent),
         stats_cols=t.stats_cols(parent),
-        sort_mode="key",
         sort_key=["conv_id", "turn_idx"],
     )
 

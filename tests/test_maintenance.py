@@ -223,7 +223,7 @@ def test_cluster_keeps_col_spec_partition_names(tmp_table_dir, ray_session, base
     expected_parts = {f"role-{r}" for r in roles}
     assert set(t.entries()["partition"].to_pylist()) == expected_parts
 
-    sid = cluster_mod.cluster_by_columns(t, ["conv_id", "turn_idx"])
+    sid = cluster_mod.cluster(t, cols=["conv_id", "turn_idx"])
     assert sid == t.current_snapshot_id()
     assert sorted_scan(t).equals(expected_sorted(base_data))
     assert set(t.entries()["partition"].to_pylist()) == expected_parts
@@ -239,11 +239,90 @@ def test_cluster_keeps_col_spec_partition_names(tmp_table_dir, ray_session, base
     assert set(t.entries()["partition"].to_pylist()) == expected_parts
 
 
+def _matrix_table(d, kind, base_data):
+    """The mode × table matrix's tables, in 32 KB target files so each
+    partition clusters into several files."""
+    import dataclasses
+
+    from e2e_ocsf_cyber_lakehouse_blueprint_ray.schema import TRANSCRIPT_STATS_COLS
+    from e2e_ocsf_cyber_lakehouse_blueprint_ray.table import Table
+
+    hashed = f"hash:conv_id:{CONF.num_partitions}"
+    data, spec, stats = {
+        "transcript": (base_data, hashed, TRANSCRIPT_STATS_COLS),
+        "conv_time": (
+            base_data.select(["conv_id", "turn_idx", "ts"]).rename_columns(
+                ["conv_id", "turn_idx", "time"]
+            ),
+            hashed,
+            ["conv_id", "turn_idx", "time"],
+        ),
+        "keyless_time": (
+            pa.table({"time": base_data["ts"], "x": base_data["turn_idx"]}),
+            "none",
+            ["time", "x"],
+        ),
+    }[kind]
+    conf = dataclasses.replace(CONF, target_file_bytes=32 * 1024)
+    t = Table.create(d, data.schema, partition_spec=spec, config=conf, stats_cols=stats)
+    t.write_table(data, rows_per_file=300)
+    return t, data
+
+
+def _canon(t: pa.Table) -> pa.Table:
+    keys = [c for c in ("conv_id", "turn_idx", "time", "x") if c in t.column_names]
+    return t.sort_by([(c, "ascending") for c in keys])
+
+
+@pytest.mark.parametrize("kind", ["transcript", "conv_time", "keyless_time"])
+@pytest.mark.parametrize("mode", ["partition", "global"])
+def test_cluster_key_same_in_both_modes(tmp_table_dir, ray_session, base_data, mode, kind):
+    """Both modes cluster every table shape on the one ``cluster_key``:
+    the commit lands, the scan equals the input, and each partition's rows,
+    read file by file in order of file min key, are non-decreasing in the
+    key computed from the manifest's column ranges."""
+    import pyarrow.parquet as pq
+
+    t, data = _matrix_table(tmp_table_dir, kind, base_data)
+    parent = t.current_snapshot_id()
+    assert cluster_mod.cluster(t, mode=mode) == parent + 1
+    assert _canon(t.read_arrow()).equals(_canon(data))
+
+    ents = t.entries()
+    cols = cluster_mod.default_cols(data.schema.names)
+    ranges = {c: cluster_mod._stats_range(ents, c) for c in cols if c != "conv_id"}
+    for part in set(ents["partition"].to_pylist()):
+        paths = [r["path"] for r in ents.to_pylist() if r["partition"] == part]
+        keys = [
+            cluster_mod.cluster_key(pq.read_table(os.path.join(t.dir, p)), cols, ranges)
+            for p in paths
+        ]
+        run = np.concatenate(sorted(keys, key=lambda k: k.min()))
+        assert (np.diff(run) >= 0).all(), (part, len(paths))
+
+
+def test_cluster_n_columns_partition_resume(tmp_table_dir, ray_session, base_data):
+    """N-column clustering runs in partition mode with per-partition
+    lineage: a mid-job crash leaves the snapshot unchanged, and the rerun
+    reuses the finished partitions' files and commits once."""
+    t = make_table(tmp_table_dir, base_data)
+    parent = t.current_snapshot_id()
+    cols = ["conv_id", "turn_idx", "ts"]
+    with pytest.raises(Exception):
+        cluster_mod.cluster(t, cols=cols, mode="partition", fail_after=2, concurrency=1)
+    assert t.current_snapshot_id() == parent
+    assert cluster_mod.cluster(t, cols=cols, mode="partition") == parent + 1
+    assert sorted_scan(t).equals(expected_sorted(base_data))
+    assert expire_mod.remove_orphans(t) == []
+
+
 def test_cluster_by_columns_multi_dim(tmp_table_dir, ray_session, base_data):
     """Generalized CLUSTER BY (conv_id, turn_idx, ts): scan equality plus
     per-file stats tight enough that a turn_idx range prunes files — the
     extra dimension's locality is real, not just a reshuffle. Small target
-    files so each covers a short z-range (≈2 leading bits per dimension)."""
+    files so each covers a short z-range (≈2 leading bits per dimension).
+    Global mode: in partition mode the same table becomes half as many
+    target-size files, and a turn_idx slice then touches every file."""
     import dataclasses
 
     from e2e_ocsf_cyber_lakehouse_blueprint_ray.table import Table
@@ -258,7 +337,7 @@ def test_cluster_by_columns_multi_dim(tmp_table_dir, ray_session, base_data):
         stats_cols=TRANSCRIPT_STATS_COLS,
     )
     t.write_table(base_data, rows_per_file=300)
-    sid = cluster_mod.cluster_by_columns(t, ["conv_id", "turn_idx", "ts"])
+    sid = cluster_mod.cluster(t, cols=["conv_id", "turn_idx", "ts"], mode="global")
     assert sid == t.current_snapshot_id()
     assert sorted_scan(t).equals(expected_sorted(base_data))
     ents = t.entries()

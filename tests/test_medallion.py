@@ -53,24 +53,36 @@ def test_bronze_ingest_is_incremental(medallion):
     assert sid is None and new == []  # exactly-once: nothing new to consume
 
 
-def test_bronze_ingest_exactly_once_survives_lineage_loss(medallion):
+@pytest.mark.parametrize("layer", ["bronze", "silver"])
+def test_bronze_ingest_exactly_once_survives_lineage_loss(medallion, layer):
     """Crash window between commit and lineage write: the consumed-file set
     must come from the SNAPSHOT metadata (atomic with the commit), so even
-    with the lineage log gone nothing is re-ingested as duplicates."""
+    with the lineage log gone nothing is re-ingested as duplicates — for
+    JSONL ingest into bronze and for the bronze → silver flow alike."""
     import shutil as _shutil
 
     m, fixtures = medallion
     from e2e_ocsf_cyber_lakehouse_blueprint_ray.functions.meta import BronzeMeta
-    from e2e_ocsf_cyber_lakehouse_blueprint_ray.sources.jsonl import consumed_files
+    from e2e_ocsf_cyber_lakehouse_blueprint_ray.state import lineage
 
-    t = m.table("bronze_slack_audit_logs")
-    before = consumed_files(t)
-    assert before  # ingested during fixture setup
+    t = m.table(f"{layer}_slack_audit_logs")
+    if layer == "bronze":
+        op = "ingest"
+
+        def rerun():
+            return ingest_jsonl(t, f"{fixtures}/slack", BronzeMeta("slack"))
+    else:
+        op = "flow-silver-slack"
+
+        def rerun():
+            return m.run_silver(parallel=False)["slack"], []
+    before = lineage.consumed_inputs(t.dir, op)
+    assert before  # consumed during fixture setup
     # simulate the lineage record never landing
     _shutil.rmtree(f"{t.dir}/_lineage", ignore_errors=True)
-    after = consumed_files(t)
+    after = lineage.consumed_inputs(t.dir, op)
     assert after == before  # recovered from snapshot extra metadata
-    sid, new = ingest_jsonl(t, f"{fixtures}/slack", BronzeMeta("slack"))
+    sid, new = rerun()
     assert sid is None and new == []
 
 

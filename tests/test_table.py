@@ -200,6 +200,7 @@ def test_struct_subfield_evolution_reads_and_compacts(tmp_path, ray_session):
     """mergeSchema on a nested column: a commit that adds a subfield to a
     struct column leaves the old files readable and compactable; their rows
     come back with the new subfield null."""
+    from e2e_ocsf_cyber_lakehouse_blueprint_ray.stages import cluster as cluster_mod
     from e2e_ocsf_cyber_lakehouse_blueprint_ray.stages import compact as compact_mod
 
     old_t = pa.struct([("a", pa.int64())])
@@ -223,6 +224,13 @@ def test_struct_subfield_evolution_reads_and_compacts(tmp_path, ray_session):
         return sorted(got.to_pylist(), key=lambda r: r["id"])
 
     assert rows() == want
+    # the distributed scan and the global cluster (which reads through it)
+    # align each old file's struct too
+    assert sorted(t.scan().take_all(), key=lambda r: r["id"]) == want
+    pre = t.current_snapshot_id()
+    assert cluster_mod.cluster(t, cols=["id"], mode="global") == pre + 1
+    assert rows() == want
+    t.rollback(pre)  # compact the pre-evolution files below
     before = t.entries().num_rows
     assert compact_mod.compact(t) is not None
     assert t.entries().num_rows < before
