@@ -217,8 +217,8 @@ def build_maintenance_table(
     sf_dir: str, work_dir: str, config: EngineConfig, *, rows_per_file: int = 500
 ) -> Table:
     """Materialize the derived transcripts as a fresh snapshot-log table with
-    MANY SMALL FILES (so compaction has real work). Streams through the
-    actor-pool ``append_dataset`` writer — the transcript rows never
+    MANY SMALL FILES (so compaction has real work). Streams through
+    ``append_dataset``'s stateless writer tasks — the transcript rows never
     materialize on the driver; only manifest entries come back. Each write
     batch of ``rows_per_file × P`` rows yields ~one small file per touched
     partition dir."""

@@ -32,6 +32,7 @@ import os
 from collections.abc import Callable
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..config import EngineConfig, DEFAULT
 from ..functions.meta import BronzeMeta
@@ -139,29 +140,31 @@ class Medallion:
 
             def fan_out(batch: pa.Table, writers=writers) -> pa.Table:
                 limit_arrow_threads()
-                rows = [
-                    dict(e, route=tag)
-                    for tag, sink, transform, spec, stats_cols in writers
-                    for e in sink.write_batch_files(transform(batch), spec, stats_cols, "a")
-                ]
-                return pa.Table.from_pylist(rows, schema=routed)
+                parts = [routed.empty_table()]
+                for tag, sink, transform, spec, stats_cols in writers:
+                    ents = sink.write_batch_files(transform(batch), spec, stats_cols, "a")
+                    route = pa.array([tag] * ents.num_rows, pa.string())
+                    parts.append(ents.append_column("route", route))
+                return pa.concat_tables(parts).combine_chunks()
 
             with DATASET_CONSTRUCT_LOCK:
                 ds = rd.read_parquet(list(new_files))
-            entries = ds.map_batches(
-                fan_out,
-                batch_format="pyarrow",
-                batch_size=self.config.batch_size,
-                concurrency=self.config.rewrite_concurrency,
-            ).take_all()  # tiny: one row per written file
+            entries = manifest.collect_entries(
+                ds.map_batches(
+                    fan_out,
+                    batch_format="pyarrow",
+                    batch_size=self.config.batch_size,
+                    concurrency=self.config.rewrite_concurrency,
+                ),
+                schema=routed,
+            )
             for tag in tags:
                 sink, _, schema = routes[tag]
-                mine = [e for e in entries if e["route"] == tag]
-                added = pa.Table.from_pylist(mine, schema=manifest.ENTRY_SCHEMA) if mine else None
+                mine = entries.filter(pc.equal(entries["route"], tag)).drop_columns(["route"])
                 op = f"flow-{tag}"
                 parent = sink.current_snapshot_id()
                 sid = sink.commit(
-                    added=added,
+                    added=mine,
                     removed=[],
                     operation=op,
                     use_actor=use_actor,

@@ -41,8 +41,7 @@ import pyarrow.compute as pc
 from ..config import EngineConfig
 from ..hashing import hash64_column, hilbert_xy2d, morton2, morton_nd
 from ..state import lineage, manifest
-from ..state.manifest import ENTRY_SCHEMA
-from ..table import Table
+from ..table import Table, spec_partition_codes
 from . import rewrite
 
 #: the time column a default key uses: the first of these the table has
@@ -50,21 +49,14 @@ _TIME_COLS = ("ts", "time", "_event_time")
 
 
 def _part_column(batch: pa.Table, spec: str) -> pa.Array:
-    """Per-row ``_part`` routing column for ANY partition spec: int32 codes
-    for ``hash:`` (fast range-sort key) / ``none`` (-1 = root dir), the
-    partition NAME string for ``col:`` specs (codes are batch-local there —
-    see table.spec_partition_codes). The sorted-batch writer dispatches on
-    the column type."""
-    from ..table import spec_partition_codes
-
-    if spec.startswith("hash:"):
-        n = int(spec.rsplit(":", 1)[1])
-        h = hash64_column(batch[spec.split(":")[1]])
-        return pa.array((h % np.uint64(n)).astype(np.int32))
-    if spec == "none":
-        return pa.array(np.full(batch.num_rows, -1, np.int32))
+    """Per-row ``_part`` sort key that groups the sorted stream by
+    partition: the int code for ``hash:``/``none`` specs, the partition NAME
+    for ``col:`` specs (their codes are batch-local — see
+    table.spec_partition_codes)."""
     codes, names = spec_partition_codes(spec, batch)
-    return pa.array(names[codes], pa.string())
+    if spec.startswith("col:"):
+        return pa.array(names[codes], pa.string())
+    return pa.array(codes.astype(np.int32))
 
 
 def _stats_range(ents: pa.Table, col: str) -> tuple[int, int] | None:
@@ -143,45 +135,24 @@ def _write_sorted_batch(
     *,
     table_dir: str,
     config: EngineConfig,
+    spec: str,
     rows_per_file: int,
     stats_cols: list[str],
 ) -> pa.Table:
-    """Write one sorted batch as data files, splitting at partition
-    boundaries. A stateless task fn; the upstream batch_size is already
-    target-file-sized."""
-    import uuid
-
+    """Write one sorted batch through the routed writer, which cuts it at
+    partition boundaries. A stateless task fn; the upstream batch_size is
+    already target-file-sized."""
     rewrite.limit_arrow_threads()
-    table = Table(table_dir, config)
-    wid = uuid.uuid4().hex[:10]
-    seq = 0
-    entries = []
-    part_is_name = pa.types.is_string(batch.schema.field("_part").type)
-    parts = batch["_part"].to_numpy(zero_copy_only=False)
-    data = batch.drop_columns(["_part", "_zkey"])
-    bounds = np.flatnonzero(np.r_[True, parts[1:] != parts[:-1]])
-    for i, b in enumerate(bounds):
-        e = bounds[i + 1] if i + 1 < len(bounds) else len(parts)
-        chunk = data.slice(b, e - b)
-        if part_is_name:  # "col:" specs route by partition NAME string
-            pdir = str(parts[b])
-        else:
-            pdir = "" if parts[b] < 0 else f"part-{int(parts[b])}"  # -1: spec "none"
-        for off in range(0, chunk.num_rows, rows_per_file):
-            sl = chunk.slice(off, rows_per_file)
-            name = f"z-{wid}-{seq:06d}.parquet"
-            seq += 1
-            entries.append(table.write_file(sl, pdir, name, stats_cols))
-    if not entries:
-        return ENTRY_SCHEMA.empty_table()
-    return pa.Table.from_pylist(entries, schema=ENTRY_SCHEMA)
+    return Table(table_dir, config).write_batch_files(
+        batch.drop_columns(["_part", "_zkey"]), spec, stats_cols, "z", rows_per_file
+    )
 
 
 def _global_sort_write(
     table: Table,
     parent: int,
     ents: pa.Table,
-    stats_cols: list[str],
+    meta: dict,
     add_key,
     concurrency: int | None,
 ) -> pa.Table:
@@ -208,13 +179,18 @@ def _global_sort_write(
     rpf = rewrite.rows_per_file(cfg, total_rows, total_bytes)
     ent_ds = ds.map_batches(
         _write_sorted_batch,
-        fn_kwargs=dict(table_dir=table.dir, config=cfg, rows_per_file=rpf, stats_cols=stats_cols),
+        fn_kwargs=dict(
+            table_dir=table.dir,
+            config=cfg,
+            spec=meta["partition_spec"],
+            rows_per_file=rpf,
+            stats_cols=manifest.stats_cols(meta),
+        ),
         batch_format="pyarrow",
         batch_size=rpf,
         concurrency=conc,
     )
-    rows = ent_ds.take_all()  # manifest entries only — data stays distributed
-    return pa.Table.from_pylist(rows, schema=ENTRY_SCHEMA) if rows else ENTRY_SCHEMA.empty_table()
+    return manifest.collect_entries(ent_ds)  # entries only — data stays distributed
 
 
 def plan_partition_bins(ents: pa.Table) -> list[dict]:
@@ -259,7 +235,6 @@ def cluster(
         raise ValueError(f"unknown curve {curve!r}")
     ranges = {c: _stats_range(ents, c) for c in cols if not _is_text(sch.field(c).type)}
     key = functools.partial(cluster_key, cols=cols, ranges=ranges, curve=curve)
-    stats_cols = manifest.stats_cols(meta)
 
     if mode == "auto":
         part_bytes = ents.group_by("partition").aggregate([("bytes", "sum")])["bytes_sum"]
@@ -277,13 +252,13 @@ def cluster(
             job_id,
             concurrency=concurrency,
             schema=sch,
-            stats_cols=stats_cols,
+            stats_cols=manifest.stats_cols(meta),
             cluster_key=key,
             fail_after=fail_after,
         )
     elif mode == "global":
         add_key = functools.partial(_add_key, key=key, spec=meta["partition_spec"])
-        added = _global_sort_write(table, parent, ents, stats_cols, add_key, concurrency)
+        added = _global_sort_write(table, parent, ents, meta, add_key, concurrency)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 

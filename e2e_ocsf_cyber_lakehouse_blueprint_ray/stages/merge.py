@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..state import lineage, manifest
-from ..table import Table
+from ..table import Table, split_by_partition
 from . import rewrite
 
 
@@ -112,21 +111,11 @@ def merge(
         )
     by_path = {r["path"]: r for r in ents.select(["path", "rows", "bytes"]).to_pylist()}
 
-    # split source rows by target partition (driver-side: source is small;
-    # int partition codes keep the sort/slice fully vectorized)
-    src_codes, part_names = table.partition_codes(source, meta["partition_spec"])
-    part_order = np.argsort(src_codes, kind="stable")
-    src_sorted = source.take(pa.array(part_order))
-    sp = src_codes[part_order]
-    bounds = np.flatnonzero(np.r_[True, sp[1:] != sp[:-1]]) if len(sp) else np.array([], int)
-
     delete_keys: dict[str, pa.Table] = {}
     extra_rows: dict[str, bytes] = {}
     conv_ranges: dict[str, tuple[str, str]] = {}
-    for i, b in enumerate(bounds):
-        e = bounds[i + 1] if i + 1 < len(bounds) else len(sp)
-        part = str(part_names[sp[b]])
-        chunk = src_sorted.slice(b, e - b)
+    # split source rows by target partition (driver-side: source is small)
+    for part, chunk in split_by_partition(source, meta["partition_spec"]).items():
         # all source keys leave the target; shipped as a 2-column key table
         # for the rewriter's Acero left-anti join (no key-string building)
         delete_keys[part] = _key_table(

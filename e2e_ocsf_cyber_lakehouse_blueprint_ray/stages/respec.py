@@ -34,11 +34,10 @@ def repartition_table(
     A no-op (returns the current id) when the spec is unchanged.
     """
     parent = table.current_snapshot_id()
-    if table.partition_spec(parent) == new_spec:
+    ents, meta = table.snapshot(parent)
+    if meta["partition_spec"] == new_spec:
         return parent
-    old_paths = table.entries(parent)["path"].to_pylist()
-    swf = list(sort_within_file) if sort_within_file else None
-    swf = [c for c in (swf or []) if c in table.schema(parent).names] or None
+    swf = [c for c in (sort_within_file or ()) if c in meta["schema"].names] or None
     added = table.stage_dataset_files(
         table.scan(snapshot_id=parent),
         sort_within_file=swf,
@@ -47,7 +46,7 @@ def repartition_table(
     )
     return table.commit(
         added=added,
-        removed=old_paths,
+        removed=ents["path"].to_pylist(),
         operation=f"respec:{new_spec}",
         expected_parent=parent,
         use_actor=use_actor,

@@ -14,8 +14,9 @@ bounded-file rewrites from ``delta.autoOptimize`` executors,
 /root/reference/utilities/utils.py:86-87.
 
 Idempotent resume: unit_id = blake2b(sorted inputs + params); a completed
-unit's lineage record (state/lineage.py) short-circuits the work, and output
-files are deterministically named ``<unit_id>-<k>.parquet`` so a re-run
+unit's lineage record (state/lineage.py) short-circuits the work, and a unit
+writes its files through ``Table.write_files`` with the unit id as the
+prefix — deterministically named ``<unit_id>-<k>.parquet``, so a re-run
 overwrites rather than duplicates (BASELINE.json north_rule: "resumable from
 checkpoint with per-partition lineage").
 
@@ -268,24 +269,17 @@ class BinRewriter:
             t = t.filter(pc.invert(hit))
         # the unit's change file: written before the lineage record, which
         # names it, so a resumed job commits the same change record
-        entries: list[dict] = []
+        out = ENTRY_SCHEMA.empty_table()
         if changed:
-            entries.append(
-                self.table.write_change_file(
-                    pa.concat_tables(changed), partition, f"{uid}-cdf.parquet"
-                )
+            cdf = self.table.write_change_file(
+                pa.concat_tables(changed), partition, f"{uid}-cdf.parquet"
             )
+            out = pa.Table.from_pylist([cdf], schema=ENTRY_SCHEMA)
         if t is not None and t.num_rows:
-            t = self._sorted(t)
+            # files named by the unit id: a resumed job's re-run overwrites
             rpf = rows_per_file(self.config, int(unit["in_rows"]), int(unit["in_bytes"]))
-            k = 0
-            for off in range(0, t.num_rows, rpf):
-                sl = t.slice(off, rpf)
-                entries.append(
-                    self.table.write_file(sl, partition, f"{uid}-{k:04d}.parquet", self.stats_cols)
-                )
-                k += 1
-        out = pa.Table.from_pylist(entries, schema=ENTRY_SCHEMA)
+            written = self.table.write_files(self._sorted(t), partition, self.stats_cols, uid, rpf)
+            out = pa.concat_tables([out, written])
         lineage.save_unit(
             self.table.dir,
             self.job_id,
@@ -377,7 +371,4 @@ def run_bins(
         batch_size=per_task,
         concurrency=conc,
     )
-    rows = ent_ds.take_all()
-    return (
-        pa.Table.from_pylist(rows, schema=ENTRY_SCHEMA) if rows else ENTRY_SCHEMA.empty_table()
-    )
+    return manifest.collect_entries(ent_ds)

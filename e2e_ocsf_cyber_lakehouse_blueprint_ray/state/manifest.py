@@ -94,6 +94,21 @@ def empty_entries() -> pa.Table:
     return ENTRY_SCHEMA.empty_table()
 
 
+def collect_entries(ds, schema: pa.Schema = ENTRY_SCHEMA) -> pa.Table:
+    """The entries a writer stage emits, one small row per written file,
+    gathered on the driver as one Arrow table: the stage's blocks are
+    concatenated with no Python-row round trip (empty blocks may carry no
+    schema and are skipped) and combined into one chunk, as the writers'
+    own entry tables are: left as many tiny chunks, they raised perfbench
+    medallion's peak RSS by ~30 MB. Not ``to_arrow_refs``: it runs the
+    stage a second time on one batch to fetch the schema, which would
+    write that batch's files twice."""
+    blocks = ds.iter_batches(batch_size=None, batch_format="pyarrow")
+    return pa.concat_tables(
+        [schema.empty_table()] + [b for b in blocks if b.num_rows]
+    ).combine_chunks()
+
+
 # -- per-file column statistics: the writer ---------------------------------
 
 def _kind(t: pa.DataType) -> str | None:

@@ -10,14 +10,19 @@ readers get snapshot isolation and stats-based file pruning.
 
 Partition specs:
     "hash:<col>:<P>"  — dirs ``part-<n>``, n = hash64(col) % P (keyed tables)
-    "col:<col>"       — dirs ``<col>=<value>`` (e.g. _event_date, medallion)
+    "col:<col>"       — dirs ``<col>-<value>`` (e.g. _event_date, medallion)
     "none"            — single dir
 
 Scale notes: scans return a lazy ``ray.data.Dataset`` over the pruned file
-list; appends stream through a stage of stateless writer tasks (each batch's
-rows routed to partition dirs, one Parquet file per partition per batch);
-only the manifest commit — a few KB of metadata per thousand files — touches
-the driver/metastore.
+list; appends stream through a stage of stateless writer tasks; only the
+manifest commit — a few KB of metadata per thousand files — touches the
+driver/metastore.
+
+Writes: ``Table.write_files`` is the only code that writes a data file (it
+cuts, names and writes one partition's rows and returns their entries).
+``Table.write_batch_files`` routes a batch to it with ``split_by_partition``
+for every appender; the bin rewriter (stages/rewrite.py) calls it per unit.
+Change files go through ``write_change_file``.
 """
 
 from __future__ import annotations
@@ -83,6 +88,24 @@ def spec_partition_codes(spec: str, batch: pa.Table) -> tuple[np.ndarray, np.nda
         names = np.array([f"{rest}-{u}" for u in uniq] + [f"{rest}-None"], dtype=object)
         return codes, names
     raise ValueError(f"bad partition spec {spec!r}")
+
+
+def split_by_partition(batch: pa.Table, spec: str) -> dict[str, pa.Table]:
+    """``{partition dir: its rows}`` of ``batch`` under ``spec``, each
+    partition's rows in their input order. Int codes keep it vectorized:
+    one stable int argsort (skipped when the rows are already grouped, as
+    in a sorted stream) and one formatted name per DISTINCT partition."""
+    codes, names = spec_partition_codes(spec, batch)
+    if len(codes) == 0:
+        return {}
+    if np.any(codes[1:] < codes[:-1]):
+        order = np.argsort(codes, kind="stable")
+        codes, batch = codes[order], batch.take(pa.array(order))
+    bounds = np.r_[np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]]), len(codes)]
+    return {
+        str(names[codes[b]]): batch.slice(b, e - b)
+        for b, e in zip(bounds[:-1], bounds[1:])
+    }
 
 
 def _align_array(arr: pa.Array, typ: pa.DataType) -> pa.Array:
@@ -221,33 +244,18 @@ class Table:
         """Latest retained snapshot committed at or before ``ts`` (unix
         seconds) — the TIMESTAMP AS OF analog. Compose with
         ``read_arrow(snapshot_id=...)`` / ``scan`` / ``rollback``."""
-        best = None
-        for h in self.history():
-            if h["created_at"] <= ts and (best is None or h["snapshot_id"] > best):
-                best = h["snapshot_id"]
-        if best is None:
+        hist = self.history()
+        best = [h["snapshot_id"] for h in hist if h["created_at"] <= ts]
+        if not best:
             raise ValueError(
                 f"no snapshot at or before {ts} (oldest retained: "
-                f"{self.history()[0]['created_at'] if self.history() else 'none'})"
+                f"{hist[0]['created_at'] if hist else 'none'})"
             )
-        return best
+        return max(best)
 
     def live_files(self, snapshot_id: int | None = None) -> list[str]:
         ents = self.entries(snapshot_id)
         return [os.path.join(self.dir, p) for p in sorted(ents["path"].to_pylist())]
-
-    # -- partitioning -------------------------------------------------------
-
-    def partition_codes(
-        self, batch: pa.Table, spec: str | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(int code per row, dir name per code). Codes keep the hot paths
-        vectorized: int argsort + one formatted name per DISTINCT partition,
-        never a Python string per row. ``spec`` overrides the snapshot's
-        partition spec (partition-evolution rewrites route by the NEW spec
-        before it is committed)."""
-        spec = spec if spec is not None else self.partition_spec()
-        return spec_partition_codes(spec, batch)
 
     # -- read path ----------------------------------------------------------
 
@@ -329,15 +337,27 @@ class Table:
 
     # -- write path ---------------------------------------------------------
 
-    def write_file(
-        self, batch: pa.Table, partition: str, name: str, stats_cols: list[str] | None = None
-    ) -> dict:
-        """Write one data file (atomic) and return its manifest entry."""
-        rel = os.path.join("data", partition, name) if partition else os.path.join("data", name)
-        nbytes = _write_parquet_atomic(batch, os.path.join(self.dir, rel))
-        if stats_cols is None:
-            stats_cols = self.stats_cols()
-        return manifest.entry_for(rel, partition, batch, nbytes, stats_cols)
+    def write_files(
+        self,
+        rows: pa.Table,
+        partition: str,
+        stats_cols: list[str],
+        prefix: str,
+        rows_per_file: int,
+    ) -> pa.Table:
+        """The engine's one data-file writer: cut one partition's ordered
+        rows into files of at most ``rows_per_file`` rows named
+        ``{prefix}-{k}.parquet``, write each atomically and return their
+        manifest entries. Callers resolve ``stats_cols`` once on the driver,
+        so no writer reads the snapshot."""
+        pdir = os.path.join("data", partition) if partition else "data"
+        entries = []
+        for k, off in enumerate(range(0, rows.num_rows, rows_per_file)):
+            sl = rows.slice(off, rows_per_file)
+            rel = os.path.join(pdir, f"{prefix}-{k:04d}.parquet")
+            nbytes = _write_parquet_atomic(sl, os.path.join(self.dir, rel))
+            entries.append(manifest.entry_for(rel, partition, sl, nbytes, stats_cols))
+        return pa.Table.from_pylist(entries, schema=manifest.ENTRY_SCHEMA)
 
     def write_change_file(self, rows: pa.Table, partition: str, name: str) -> dict:
         """Write one change file (atomic; rows carry a ``change`` column)
@@ -353,19 +373,31 @@ class Table:
             "stats": None,
         }
 
-    def split_by_partition(self, batch: pa.Table, spec: str | None = None) -> dict[str, pa.Table]:
-        codes, names = self.partition_codes(batch, spec)
-        if len(codes) == 0:
-            return {}
-        order = np.argsort(codes, kind="stable")  # int sort, not string sort
-        sorted_codes = codes[order]
-        bounds = np.flatnonzero(np.r_[True, sorted_codes[1:] != sorted_codes[:-1]])
-        out = {}
-        taken = batch.take(pa.array(order))
-        for i, b in enumerate(bounds):
-            e = bounds[i + 1] if i + 1 < len(bounds) else len(sorted_codes)
-            out[str(names[sorted_codes[b]])] = taken.slice(b, e - b)
-        return out
+    def write_batch_files(
+        self,
+        batch: pa.Table,
+        spec: str,
+        stats_cols: list[str],
+        prefix: str,
+        rows_per_file: int | None = None,
+    ) -> pa.Table:
+        """The routed writer: split ``batch`` by ``spec`` and write each
+        partition's rows with ``write_files`` (one file per partition unless
+        ``rows_per_file`` cuts it). Every appender routes through here —
+        ``write_table``, ``stage_dataset_files``, the medallion's flows and
+        the global cluster writer. A per-call uuid in every file name keeps
+        concurrent writers with the same prefix from overwriting each
+        other's files (``commit`` also rejects duplicate paths)."""
+        import uuid
+
+        wid = f"{prefix}-{uuid.uuid4().hex[:10]}"
+        return pa.concat_tables(
+            [manifest.empty_entries()]
+            + [
+                self.write_files(chunk, part, stats_cols, wid, rows_per_file or chunk.num_rows)
+                for part, chunk in split_by_partition(batch, spec).items()
+            ]
+        ).combine_chunks()
 
     def write_table(
         self,
@@ -379,44 +411,15 @@ class Table:
         """Driver-side append of an in-memory table, split into partition
         dirs and (optionally many small) files. Used by fixtures/ingest of
         small tables; large appends use ``append_dataset``."""
-        import uuid
-
-        rpf = rows_per_file or self.config.max_rows_per_file
-        # per-call uuid in every file name (like append_dataset): two
-        # concurrent appenders with the same prefix must never overwrite each
-        # other's data files — commit() also rejects duplicate paths.
-        wid = uuid.uuid4().hex[:10]
         meta = self.snapshot()[1]
-        stats_cols = manifest.stats_cols(meta)
-        entries = []
-        seq = 0
-        for part, chunk in self.split_by_partition(data, meta["partition_spec"]).items():
-            for off in range(0, chunk.num_rows, rpf):
-                sl = chunk.slice(off, rpf)
-                entries.append(
-                    self.write_file(
-                        sl, part, f"{name_prefix}-{wid}-{seq:05d}.parquet", stats_cols
-                    )
-                )
-                seq += 1
-        added = pa.Table.from_pylist(entries, schema=manifest.ENTRY_SCHEMA) if entries else None
+        added = self.write_batch_files(
+            data,
+            meta["partition_spec"],
+            manifest.stats_cols(meta),
+            name_prefix,
+            rows_per_file or self.config.max_rows_per_file,
+        )
         return self.commit(added=added, removed=[], operation=operation, use_actor=use_actor)
-
-    def write_batch_files(
-        self, batch: pa.Table, spec: str, stats_cols: list[str], name_prefix: str
-    ) -> list[dict]:
-        """Route one batch's rows to partition dirs, write one file per
-        partition and return their manifest entries: the per-batch body of
-        every distributed writer (``stage_dataset_files``, the medallion's
-        flows). Runs in Ray tasks; callers resolve ``spec`` and
-        ``stats_cols`` once on the driver."""
-        import uuid
-
-        wid = uuid.uuid4().hex[:10]
-        return [
-            self.write_file(chunk, part, f"{name_prefix}-{wid}-{seq:05d}.parquet", stats_cols)
-            for seq, (part, chunk) in enumerate(self.split_by_partition(batch, spec).items())
-        ]
 
     def stage_dataset_files(
         self,
@@ -425,7 +428,7 @@ class Table:
         sort_within_file: list[str] | None = None,
         name_prefix: str = "a",
         spec: str | None = None,
-    ) -> pa.Table | None:
+    ) -> pa.Table:
         """Write a Dataset's rows as partition-routed Parquet files WITHOUT
         committing; returns the manifest entries (one small row per file).
         ``spec`` overrides the partition routing (partition evolution)."""
@@ -442,20 +445,15 @@ class Table:
                     batch, sort_keys=[(k, "ascending") for k in sort_within_file]
                 )
                 batch = batch.take(idx)
-            entries = self.write_batch_files(batch, spec, stats_cols, name_prefix)
-            return pa.Table.from_pylist(entries, schema=manifest.ENTRY_SCHEMA)
+            return self.write_batch_files(batch, spec, stats_cols, name_prefix)
 
-        ent_ds = ds.map_batches(
-            write_batch,
-            batch_format="pyarrow",
-            batch_size=self.config.batch_size,
-            concurrency=self.config.rewrite_concurrency,
-        )
-        entry_rows = ent_ds.take_all()  # tiny: one row per written file
-        return (
-            pa.Table.from_pylist(entry_rows, schema=manifest.ENTRY_SCHEMA)
-            if entry_rows
-            else None
+        return manifest.collect_entries(
+            ds.map_batches(
+                write_batch,
+                batch_format="pyarrow",
+                batch_size=self.config.batch_size,
+                concurrency=self.config.rewrite_concurrency,
+            )
         )
 
     def append_dataset(

@@ -249,3 +249,7 @@ def test_rewrite_units_do_not_read_the_snapshot(tmp_table_dir, monkeypatch):
     out = rewriter(pa.Table.from_pylist(bins))
     assert calls == []
     assert int(pc.sum(out["rows"]).as_py()) == base.num_rows
+    # nor does the routed writer every appender runs in its tasks
+    out = t.write_batch_files(base, meta["partition_spec"], TRANSCRIPT_STATS_COLS, "w", 100)
+    assert calls == []
+    assert int(pc.sum(out["rows"]).as_py()) == base.num_rows

@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
@@ -210,8 +211,7 @@ def test_struct_subfield_evolution_reads_and_compacts(tmp_path, ray_session):
     t.write_table(pa.table({"id": [0, 1, 2], "s": pa.array([{"a": 0}, None, {"a": 2}], old_t)}),
                   rows_per_file=1)
     wave2 = pa.table({"id": [3], "s": pa.array([{"a": 3, "b": "x"}], new_t)})
-    t.commit(added=pa.Table.from_pylist([t.write_file(wave2, "", "w2.parquet")],
-                                        schema=manifest.ENTRY_SCHEMA),
+    t.commit(added=t.write_files(wave2, "", t.stats_cols(), "w2", wave2.num_rows),
              removed=[], operation="append", evolve_schema=wave2.schema)
     assert t.schema().field("s").type == new_t
 
@@ -235,3 +235,87 @@ def test_struct_subfield_evolution_reads_and_compacts(tmp_path, ray_session):
     assert compact_mod.compact(t) is not None
     assert t.entries().num_rows < before
     assert rows() == want
+
+
+# -- every writer routes each file's rows to its entry's partition ----------
+
+def _written_by(op: str, d: str) -> Table:
+    """A table whose live files ``op`` wrote, on a ``hash:`` spec except the
+    medallion flow, whose silver sink is ``col:_event_date``."""
+    import ray.data as rd
+
+    from e2e_ocsf_cyber_lakehouse_blueprint_ray.pipelines.medallion import Medallion
+    from e2e_ocsf_cyber_lakehouse_blueprint_ray.stages import (
+        cluster,
+        compact,
+        delete,
+        merge,
+        respec,
+    )
+
+    base = synth.transcripts(0.001)
+    if op == "medallion_flow":
+        synth.write_audit_fixture(os.path.join(d, "raw"), n_per_source=60)
+        m = Medallion(os.path.join(d, "tables"), CONF)
+        m.setup()
+        m.run_bronze(os.path.join(d, "raw"), parallel=False)
+        m.run_silver(parallel=False)
+        return m.table("silver_github_audit_logs")
+    if op == "append_dataset":
+        t = make_table(d)
+        t.append_dataset(rd.from_arrow(base).repartition(3))
+        return t
+    t = make_table(d, base, rows_per_file=300)
+    if op == "compact":
+        compact.compact(t)
+    elif op.startswith("cluster_"):
+        cluster.cluster(t, mode=op.removeprefix("cluster_"))
+    elif op == "merge":
+        merge.merge(t, synth.merge_source(base))
+    elif op == "delete_where":
+        mid = int(np.median(base["ts"].cast("int64").to_numpy()))
+        delete.delete_where(t, "ts", mid, mid + 10**9)
+    elif op == "repartition_table":
+        respec.repartition_table(t, "hash:conv_id:3")
+    return t
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        "write_table",
+        "append_dataset",
+        "compact",
+        "cluster_partition",
+        "cluster_global",
+        "merge",
+        "delete_where",
+        "repartition_table",
+        "medallion_flow",
+    ],
+)
+def test_every_writer_routes_rows_to_their_partition(op, tmp_path, ray_session):
+    """Every live file holds only rows of its entry's partition under the
+    snapshot's spec, in that partition's dir, and its entry counts its
+    rows — whichever writer made it. Nor does any writer leave a data file
+    that no snapshot names."""
+    import pyarrow.parquet as pq
+
+    from e2e_ocsf_cyber_lakehouse_blueprint_ray.table import split_by_partition
+
+    t = _written_by(op, str(tmp_path))
+    ents, meta = t.snapshot()
+    assert ents.num_rows
+    for e in ents.select(["path", "partition", "rows"]).to_pylist():
+        rows = pq.read_table(os.path.join(t.dir, e["path"]))
+        assert rows.num_rows == e["rows"] > 0
+        assert list(split_by_partition(rows, meta["partition_spec"])) == [e["partition"]]
+        assert os.path.dirname(e["path"]) == os.path.join("data", e["partition"])
+    named = set()
+    for sid in manifest.list_snapshot_ids(t.dir):
+        named |= set(t.entries(sid)["path"].to_pylist())
+    data = os.path.join(t.dir, "data")
+    on_disk = {
+        os.path.relpath(os.path.join(d, f), t.dir) for d, _, fs in os.walk(data) for f in fs
+    }
+    assert on_disk == named
