@@ -26,11 +26,10 @@ class EngineConfig:
     small_file_fraction: float = 0.75
 
     # --- clustering -----------------------------------------------------
-    #: cluster mode="auto" sorts each partition in-task (no shuffle) when
-    #: every partition's on-disk bytes fit under this bound; otherwise it
-    #: falls back to the global range-shuffle sort. At 4 CPUs the in-task
-    #: sort took ~1/3 of the global sort's wall time and under half its CPU
-    #: at sf0.1 and sf1 (BASELINE.md, cluster sort A/B).
+    #: cluster mode="auto" sorts a partition whose on-disk bytes fit under
+    #: this bound whole, in one task; a larger one is cut into
+    #: ceil(bytes / bound) key ranges, each sorted in one task (no shuffle;
+    #: stages/cluster.py). The bound also caps a scatter unit's input bytes.
     partition_sort_max_bytes: int = 1024 * 1024 * 1024
 
     # --- execution ------------------------------------------------------

@@ -53,11 +53,6 @@ def hash64_column(arr: pa.Array | pa.ChunkedArray) -> np.ndarray:
     return out
 
 
-def partition_for(conv_hash: np.ndarray, num_partitions: int) -> np.ndarray:
-    """Hash partition id (uint32) from a uint64 conv hash."""
-    return (conv_hash % np.uint64(num_partitions)).astype(np.uint32)
-
-
 # --------------------------------------------------------------------------
 # Morton (Z-order)
 # --------------------------------------------------------------------------

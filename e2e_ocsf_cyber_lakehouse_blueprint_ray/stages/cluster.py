@@ -4,59 +4,52 @@ Reference analog: ``cluster_by=["_event_date"]`` on bronze/silver
 (/root/reference/transformations/pipelines/github/audit_logs/
 bronze_github_audit_logs.py:32) and ``ALTER TABLE ... CLUSTER BY (time)`` on
 the six gold tables (utilities/post_setup_ocsf_tables.py:40-53). One key,
-``cluster_key``, serves every table and both execution modes: the
+``cluster_key``, serves every table and every mode: the
 bit-interleave of one coordinate per clustering column — the high bits of
 hash64 for a string column, the table-wide min-max normalized value for a
 number or timestamp — on a Z-order curve, or a Hilbert curve for two
 columns. The default columns are (conv_id, ts), so scans filtering on either
 conv_id or time ranges prune files via manifest min/max stats; a key-less
 table clusters by its time column alone. Column ranges come from manifest
-stats, never from the rows a task holds, so both modes build the same key.
+stats, never from the rows a task holds, so every task builds the same key.
 
-Two execution modes:
+One rewrite path, ``rewrite.run_bins``: every partition becomes k key-range
+sub-bins, each sorted in one task by ``BinRewriter(cluster_key=)``, with
+per-unit lineage for a mid-job crash resume.
 
-``mode="global"`` — ONE Ray Data pipeline over every live file:
-    read → map_batches(add _part,_zkey) → sort(["_part","_zkey"]) →
-    stateless writer tasks (split each sorted batch at partition
-    boundaries, write target-size files, emit manifest entries) → single
-    commit. The sort is Ray's range-partitioned shuffle: the path for a
-    partition too large to sort in one task (spills via the object store;
-    skewed hot conv_ids are fine because their rows spread across
-    ts-buckets of the curve).
-
-``mode="partition"`` — one bin per table partition, rewritten independently
-    as a task with an in-memory key sort; per-partition lineage → mid-job
-    crash resume. ``mode="auto"`` picks it when every partition's on-disk
-    bytes fit under ``partition_sort_max_bytes``.
+- k = 1 (``mode="partition"``, and ``mode="auto"`` for a partition whose
+  on-disk bytes fit under ``partition_sort_max_bytes``): the partition's
+  files are one bin, sorted whole.
+- k > 1 (``mode="auto"``: k = ceil(bytes / cap); ``mode="global"``: at
+  least 2): k - 1 boundaries are quantiles of the key over a fixed-stride
+  row sample of the partition's files, read in path order. Scatter units
+  (byte-capped groups of the partition's files) write each row to a staging
+  run file of its range, ``_lineage/<job>/runs/<partition>/r<range>/``;
+  each range's run files are then one sub-bin. This is a bounded fan-out,
+  two-stage repartition with no object-store shuffle, and the same input
+  always writes the same files. The job's runs are deleted after its
+  commit.
 """
 
 from __future__ import annotations
 
 import functools
+import json
+import os
+import shutil
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
-from ..config import EngineConfig
 from ..hashing import hash64_column, hilbert_xy2d, morton2, morton_nd
 from ..state import lineage, manifest
-from ..table import Table, spec_partition_codes
+from ..table import Table, align_to
 from . import rewrite
 
 #: the time column a default key uses: the first of these the table has
 _TIME_COLS = ("ts", "time", "_event_time")
-
-
-def _part_column(batch: pa.Table, spec: str) -> pa.Array:
-    """Per-row ``_part`` sort key that groups the sorted stream by
-    partition: the int code for ``hash:``/``none`` specs, the partition NAME
-    for ``col:`` specs (their codes are batch-local — see
-    table.spec_partition_codes)."""
-    codes, names = spec_partition_codes(spec, batch)
-    if spec.startswith("col:"):
-        return pa.array(names[codes], pa.string())
-    return pa.array(codes.astype(np.int32))
 
 
 def _stats_range(ents: pa.Table, col: str) -> tuple[int, int] | None:
@@ -121,88 +114,51 @@ def cluster_key(
     return key.astype(np.int64)
 
 
-def _add_key(batch: pa.Table, *, key, spec: str) -> pa.Table:
-    """Global-mode routing and sort columns: ``_part`` by the table's spec
-    (hash:/col:/none, so manifest partition names keep matching it) and
-    ``_zkey``."""
-    return batch.append_column("_part", _part_column(batch, spec)).append_column(
-        "_zkey", pa.array(key(batch))
-    )
+#: sample rows per key range when a partition is cut into ranges: the
+#: driver keys the sample, ~2 s for 1024 per range at sf1 with k = 2
+_SAMPLE_PER_RANGE = 256
 
 
-def _write_sorted_batch(
-    batch: pa.Table,
-    *,
-    table_dir: str,
-    config: EngineConfig,
-    spec: str,
-    rows_per_file: int,
-    stats_cols: list[str],
-) -> pa.Table:
-    """Write one sorted batch through the routed writer, which cuts it at
-    partition boundaries. A stateless task fn; the upstream batch_size is
-    already target-file-sized."""
-    rewrite.limit_arrow_threads()
-    return Table(table_dir, config).write_batch_files(
-        batch.drop_columns(["_part", "_zkey"]), spec, stats_cols, "z", rows_per_file
-    )
+def _num_ranges(mode: str, nbytes: int, cap: int) -> int:
+    """k, the key ranges a partition of ``nbytes`` on-disk bytes is cut
+    into: 1 in partition mode, enough to bring each range under ``cap`` in
+    auto mode, and at least 2 in global mode."""
+    if mode not in ("auto", "partition", "global"):
+        raise ValueError(f"unknown mode {mode!r}")
+    return 1 if mode == "partition" else max(-(-nbytes // cap), 2 if mode == "global" else 1)
 
 
-def _global_sort_write(
-    table: Table,
-    parent: int,
-    ents: pa.Table,
-    meta: dict,
-    add_key,
-    concurrency: int | None,
-) -> pa.Table:
-    """The global cluster pipeline: scan snapshot ``parent``, add
-    ``_part``/``_zkey`` per whole block with ``add_key``, ONE range-shuffle
-    sort on (_part, _zkey), then stateless writer tasks batched at target
-    file size. Returns the manifest entries of the written files."""
-    cfg = table.config
-    total_rows = int(pc.sum(ents["rows"]).as_py() or 0)
-    total_bytes = int(pc.sum(ents["bytes"]).as_py() or 0)
-    conc = max(1, concurrency or cfg.rewrite_concurrency)
-    # Size the sort's partition count from the data, not Ray's min-200-
-    # blocks default: on a ~100 MB table that default makes 200+ 0.5 MB
-    # blocks and the range shuffle becomes pure per-block overhead. One
-    # block ≈ one uncompressed target file's worth keeps reduce tasks
-    # meaningful at every scale (zstd ≈ 3× expansion estimate).
-    n_blocks = max(conc, min(4096, -(-(total_bytes * 3) // cfg.target_file_bytes)))
-    ds = table.scan(snapshot_id=parent, override_num_blocks=n_blocks)
-    # whole-block batches: no rebatch copy before the shuffle
-    ds = ds.map_batches(add_key, batch_format="pyarrow", batch_size=None)
-    ds = ds.sort(["_part", "_zkey"])
-    # batch the writer at target-file granularity so output files land
-    # near target_file_bytes instead of one file per sorted block
-    rpf = rewrite.rows_per_file(cfg, total_rows, total_bytes)
-    ent_ds = ds.map_batches(
-        _write_sorted_batch,
-        fn_kwargs=dict(
-            table_dir=table.dir,
-            config=cfg,
-            spec=meta["partition_spec"],
-            rows_per_file=rpf,
-            stats_cols=manifest.stats_cols(meta),
-        ),
-        batch_format="pyarrow",
-        batch_size=rpf,
-        concurrency=conc,
-    )
-    return manifest.collect_entries(ent_ds)  # entries only — data stays distributed
+def _range_bounds(
+    table_dir: str, paths: list[str], rows: int, k: int, target: pa.Schema, key
+) -> list[int]:
+    """The k - 1 key boundaries that cut a partition of ``rows`` rows into k
+    ranges of about equal rows: quantiles of the cluster key over a
+    fixed-stride sample of its files' rows in path order, read from the
+    cluster columns (``target``) only; the same input cuts at the same keys."""
+    stride = max(1, rows // (k * _SAMPLE_PER_RANGE))
+    picks, off = [], 0
+    for p in paths:
+        with pq.ParquetFile(os.path.join(table_dir, p)) as f:
+            t = align_to(f.read(columns=[c for c in target.names if c in f.schema_arrow.names]), target)
+        picks.append(t.take(pa.array(np.arange(-off % stride, t.num_rows, stride))))
+        off += t.num_rows
+    keys = np.sort(key(pa.concat_tables(picks)))
+    return [int(keys[i * len(keys) // k]) for i in range(1, k)]
 
 
-def plan_partition_bins(ents: pa.Table) -> list[dict]:
-    """One bin per table partition containing ALL its files — the unit of
-    the shuffle-free cluster path (the whole partition is sorted in-task)."""
-    cols = ["path", "partition", "rows", "bytes"]
-    by_path = {r["path"]: r for r in ents.select(cols).to_pylist()}
-    by_part: dict[str, list[str]] = {}
-    for r in by_path.values():
-        by_part.setdefault(r["partition"], []).append(r["path"])
+def _range_bins(runs: pa.Table, per_row: dict[str, float]) -> list[dict]:
+    """One sub-bin per non-empty (partition, key range): its run files,
+    sorted by path. A run counts its partition's bytes ``per_row``, so a
+    range cuts its files at the partition's rows per file, and k ranges
+    write at most k - 1 more files than the whole partition would."""
+    by_path: dict[str, dict] = {}
+    groups: dict[str, list[str]] = {}
+    for r in runs.select(["path", "partition", "rows"]).to_pylist():
+        by_path[r["path"]] = dict(r, bytes=r["rows"] * per_row[r["partition"]])
+        groups.setdefault(os.path.dirname(r["path"]), []).append(r["path"])
     return [
-        rewrite.make_bin(sorted(paths), part, by_path) for part, paths in sorted(by_part.items())
+        rewrite.make_bin(sorted(fs), by_path[fs[0]]["partition"], by_path)
+        for _, fs in sorted(groups.items())
     ]
 
 
@@ -219,7 +175,6 @@ def cluster(
     """Cluster the table on ``cols`` (default: ``default_cols``) — the
     ``ALTER TABLE ... CLUSTER BY (c1, c2, ...)`` analog — and commit the
     rewritten files as one content-preserving snapshot."""
-    cfg = table.config
     parent = table.current_snapshot_id()
     ents, meta = table.snapshot(parent)
     if ents.num_rows == 0:
@@ -236,33 +191,38 @@ def cluster(
     ranges = {c: _stats_range(ents, c) for c in cols if not _is_text(sch.field(c).type)}
     key = functools.partial(cluster_key, cols=cols, ranges=ranges, curve=curve)
 
-    if mode == "auto":
-        part_bytes = ents.group_by("partition").aggregate([("bytes", "sum")])["bytes_sum"]
-        mode = (
-            "partition"
-            if pc.max(part_bytes).as_py() <= cfg.partition_sort_max_bytes
-            else "global"
-        )
-    job_id = lineage.job_id_for(f"cluster-{curve}-{mode}", parent, ",".join(cols))
+    cap = table.config.partition_sort_max_bytes
+    by_path = {r["path"]: r for r in ents.select(["path", "partition", "rows", "bytes"]).to_pylist()}
+    parts: dict[str, list[str]] = {}
+    for r in by_path.values():
+        parts.setdefault(r["partition"], []).append(r["path"])
+    size = {p: [sum(by_path[f][c] for f in fs) for c in ("rows", "bytes")] for p, fs in parts.items()}
+    split = {p: k for p in sorted(parts) if (k := _num_ranges(mode, size[p][1], cap)) > 1}
+    # an unsplit plan keeps the per-partition job id; a split plan names its ks
+    job_id = lineage.job_id_for(
+        f"cluster-{curve}-{'ranges' if split else 'partition'}",
+        parent,
+        ",".join(cols) + (f"|{json.dumps(split)}" if split else ""),
+    )
+    kw = dict(concurrency=concurrency, schema=sch, stats_cols=manifest.stats_cols(meta))
+    kw.update(cluster_key=key, fail_after=fail_after)
+    bins = [
+        rewrite.make_bin(sorted(fs), p, by_path) for p, fs in sorted(parts.items()) if p not in split
+    ]
+    if split:
+        target = pa.schema([sch.field(c) for c in cols])
+        scatter = []
+        for p, k in split.items():
+            bounds = json.dumps(_range_bounds(table.dir, sorted(parts[p]), size[p][0], k, target, key))
+            scatter += [
+                dict(rewrite.make_bin(g, p, by_path, bounds), bounds_json=bounds)
+                for g in rewrite.pack_bins(parts[p], by_path, cap)
+            ]
+        runs = rewrite.run_bins(table, scatter, job_id, **kw)
+        bins += _range_bins(runs, {p: b / max(1, r) for p, (r, b) in size.items()})
+    added = rewrite.run_bins(table, bins, job_id, **kw)
 
-    if mode == "partition":
-        added = rewrite.run_bins(
-            table,
-            plan_partition_bins(ents),
-            job_id,
-            concurrency=concurrency,
-            schema=sch,
-            stats_cols=manifest.stats_cols(meta),
-            cluster_key=key,
-            fail_after=fail_after,
-        )
-    elif mode == "global":
-        add_key = functools.partial(_add_key, key=key, spec=meta["partition_spec"])
-        added = _global_sort_write(table, parent, ents, meta, add_key, concurrency)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    return table.commit(
+    sid = table.commit(
         added=added,
         removed=ents["path"].to_pylist(),
         operation=f"cluster-{curve}",
@@ -271,3 +231,5 @@ def cluster(
         job_id=job_id,
         changes=[],  # content-preserving: no row changed
     )
+    shutil.rmtree(os.path.join(table.dir, lineage.runs_dir(job_id)), ignore_errors=True)
+    return sid

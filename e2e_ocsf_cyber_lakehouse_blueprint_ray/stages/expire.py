@@ -14,9 +14,11 @@ properties and deletion-vector flags (/root/reference/utilities/utils.py:85-96).
 
 from __future__ import annotations
 
+import glob
 import os
+import shutil
 
-from ..state import manifest
+from ..state import lineage, manifest
 from ..table import Table
 
 
@@ -64,20 +66,23 @@ def expire_snapshots(
 
 def remove_orphans(table: Table, *, all_snapshots: bool = True) -> list[str]:
     """Delete data and change files on disk referenced by NO (retained)
-    snapshot — leftovers of crashed jobs whose commit never happened. Call
-    only when no maintenance job is in flight (same contract as Delta
-    VACUUM)."""
+    snapshot, and every job's staging run files — leftovers of crashed jobs
+    whose commit never happened. Call only when no maintenance job is in
+    flight (same contract as Delta VACUUM)."""
     ids = manifest.list_snapshot_ids(table.dir)
     live: set[str] = set()
     for sid in ids if all_snapshots else [table.current_snapshot_id()]:
         live.update(_referenced(table, sid))
+    runs = glob.glob(os.path.join(table.dir, lineage.runs_dir("*")))
     deleted = []
-    for top in ("data", manifest.CHANGE_DIR):
-        for root, _dirs, files in os.walk(os.path.join(table.dir, top)):
+    for top in [os.path.join(table.dir, "data"), os.path.join(table.dir, manifest.CHANGE_DIR)] + runs:
+        for root, _dirs, files in os.walk(top):
             for f in files:
                 ap = os.path.join(root, f)
                 rel = os.path.relpath(ap, table.dir)
                 if rel not in live:
                     os.unlink(ap)
                     deleted.append(rel)
+    for r in runs:
+        shutil.rmtree(r)
     return deleted

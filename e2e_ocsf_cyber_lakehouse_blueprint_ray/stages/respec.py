@@ -39,10 +39,11 @@ def repartition_table(
         return parent
     swf = [c for c in (sort_within_file or ()) if c in meta["schema"].names] or None
     added = table.stage_dataset_files(
-        table.scan(snapshot_id=parent),
+        table.scan(snapshot=(ents, meta)),
         sort_within_file=swf,
         name_prefix="rs",
         spec=new_spec,
+        meta=meta,
     )
     return table.commit(
         added=added,

@@ -14,6 +14,8 @@ Layout:  <table>/_lineage/<job_id>/<unit_id>.arrow  (atomic tmp+rename):
              the unit's output entries (manifest ENTRY_SCHEMA, data and
              change files) as an Arrow IPC file, the rest of the record as
              JSON in its schema metadata
+         <table>/_lineage/<job_id>/runs/   a cluster job's staging run
+             files (stages/cluster.py), deleted after its commit
          <table>/_lineage/log/lineage-<snapshot>.parquet   (committed log)
 """
 
@@ -68,6 +70,11 @@ def job_id_for(op: str, parent_snapshot: int | None, params: str = "") -> str:
 
 def _jdir(table_dir: str, job_id: str) -> str:
     return os.path.join(table_dir, LINEAGE_DIR, job_id)
+
+
+def runs_dir(job_id: str) -> str:
+    """Table-relative dir of a job's staging run files."""
+    return os.path.join(LINEAGE_DIR, job_id, "runs")
 
 
 def save_unit(

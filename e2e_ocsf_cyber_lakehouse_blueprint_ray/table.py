@@ -22,7 +22,7 @@ Writes: ``Table.write_files`` is the only code that writes a data file (it
 cuts, names and writes one partition's rows and returns their entries).
 ``Table.write_batch_files`` routes a batch to it with ``split_by_partition``
 for every appender; the bin rewriter (stages/rewrite.py) calls it per unit.
-Change files go through ``write_change_file``.
+Change files and cluster run files go through ``write_side_file``.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ from . import config as cfg
 from .hashing import hash64_column
 from .state import lineage, manifest
 
-_PQ_OPTS = dict(compression="zstd", compression_level=3)
-
 #: serializes ray.data.read_* CONSTRUCTION (not execution) when flows run in
 #: driver threads: Ray's path resolution lazily imports optional fsspec
 #: filesystems, and a concurrent first import can leave a partial module in
@@ -56,10 +54,10 @@ class ConflictError(RuntimeError):
     """A concurrent commit removed files this commit depends on."""
 
 
-def _write_parquet_atomic(table: pa.Table, path: str) -> int:
+def _write_parquet_atomic(table: pa.Table, path: str, level: int = 3) -> int:
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + f".tmp.{os.getpid()}.{time.monotonic_ns()}"
-    pq.write_table(table, tmp, **_PQ_OPTS)
+    pq.write_table(table, tmp, compression="zstd", compression_level=level)
     os.replace(tmp, path)
     return os.path.getsize(path)
 
@@ -268,11 +266,12 @@ class Table:
         return _prune(self.entries(snapshot_id), predicates, partitions)
 
     def _pruned_files(
-        self, predicates, partitions, snapshot_id, columns
+        self, predicates, partitions, snapshot_id, columns, snapshot=None
     ) -> tuple[list[str], pa.Schema]:
         """(sorted absolute paths of the pruned live files, the snapshot
-        schema projected to ``columns``) from ONE snapshot read."""
-        ents, meta = self.snapshot(snapshot_id)
+        schema projected to ``columns``) from ONE snapshot read, or none
+        when the caller passes the ``snapshot`` it holds."""
+        ents, meta = snapshot or self.snapshot(snapshot_id)
         ents = _prune(ents, predicates, partitions)
         sch = meta["schema"]
         if columns is not None:
@@ -286,14 +285,15 @@ class Table:
         predicates: dict[str, tuple] | None = None,
         partitions: list[str] | None = None,
         snapshot_id: int | None = None,
-        **read_kwargs,
+        snapshot: tuple[pa.Table, dict] | None = None,
     ):
         """Lazy Ray Dataset over the (pruned) live files of a snapshot —
         the analog of ``spark.readStream.table(name)``
-        (silver_github_audit_logs.py:27-28)."""
+        (silver_github_audit_logs.py:27-28). ``snapshot``: the (entries,
+        meta) an op already read, scanned instead of ``snapshot_id``."""
         import ray.data as rd
 
-        paths, sch = self._pruned_files(predicates, partitions, snapshot_id, columns)
+        paths, sch = self._pruned_files(predicates, partitions, snapshot_id, columns, snapshot)
         if not paths:
             return rd.from_arrow(sch.empty_table())
         # Partition values are manifest metadata here, not hive columns; data
@@ -302,20 +302,17 @@ class Table:
         # is combined with an explicit column list, so only disable inference
         # on full-schema scans.)
         if not any(pa.types.is_nested(f.type) for f in sch):
-            if columns is None:
-                read_kwargs.setdefault("partitioning", None)
+            kw = {"partitioning": None} if columns is None else {}
             # pin the (projected) snapshot schema so evolved columns survive
             # whatever file the reader samples first: pyarrow.dataset infers
             # from one fragment, and a pre-evolution fragment would silently
             # DROP columns newer files carry (pre-evolution files null-fill)
-            read_kwargs.setdefault("schema", sch)
-            return rd.read_parquet(paths, columns=columns, **read_kwargs)
+            return rd.read_parquet(paths, columns=columns, schema=sch, **kw)
         # A pinned schema cannot cast a pre-evolution struct<a> to the
         # snapshot's struct<a,b>, and a projected read of a file lacking a
         # column raises: read whole files in their own schemas and align
         # (and project) each block instead.
-        read_kwargs.setdefault("partitioning", None)
-        ds = rd.read_parquet(paths, **read_kwargs)
+        ds = rd.read_parquet(paths, partitioning=None)
         return ds.map_batches(
             align_to, fn_kwargs={"target": sch}, batch_format="pyarrow", batch_size=None
         )
@@ -359,12 +356,13 @@ class Table:
             entries.append(manifest.entry_for(rel, partition, sl, nbytes, stats_cols))
         return pa.Table.from_pylist(entries, schema=manifest.ENTRY_SCHEMA)
 
-    def write_change_file(self, rows: pa.Table, partition: str, name: str) -> dict:
-        """Write one change file (atomic; rows carry a ``change`` column)
-        under the change-data dir and return its entry. It is never a live
-        file: the commit names it in its change record."""
-        rel = os.path.join(manifest.CHANGE_DIR, partition, name)
-        nbytes = _write_parquet_atomic(rows, os.path.join(self.dir, rel))
+    def write_side_file(self, rows: pa.Table, rel: str, partition: str, level: int = 3) -> dict:
+        """Write one file that is never live — a change file under the
+        change-data dir (rows carry a ``change`` column; the commit names it
+        in its change record) or a cluster job's staging run file — at
+        table-relative ``rel``, atomically, with zstd at ``level``, and
+        return its stats-less entry."""
+        nbytes = _write_parquet_atomic(rows, os.path.join(self.dir, rel), level)
         return {
             "path": rel,
             "partition": partition,
@@ -384,10 +382,10 @@ class Table:
         """The routed writer: split ``batch`` by ``spec`` and write each
         partition's rows with ``write_files`` (one file per partition unless
         ``rows_per_file`` cuts it). Every appender routes through here —
-        ``write_table``, ``stage_dataset_files``, the medallion's flows and
-        the global cluster writer. A per-call uuid in every file name keeps
-        concurrent writers with the same prefix from overwriting each
-        other's files (``commit`` also rejects duplicate paths)."""
+        ``write_table``, ``stage_dataset_files`` and the medallion's flows.
+        A per-call uuid in every file name keeps concurrent writers with the
+        same prefix from overwriting each other's files (``commit`` also
+        rejects duplicate paths)."""
         import uuid
 
         wid = f"{prefix}-{uuid.uuid4().hex[:10]}"
@@ -428,11 +426,13 @@ class Table:
         sort_within_file: list[str] | None = None,
         name_prefix: str = "a",
         spec: str | None = None,
+        meta: dict | None = None,
     ) -> pa.Table:
         """Write a Dataset's rows as partition-routed Parquet files WITHOUT
         committing; returns the manifest entries (one small row per file).
-        ``spec`` overrides the partition routing (partition evolution)."""
-        meta = self.snapshot()[1]
+        ``spec`` overrides the partition routing (partition evolution);
+        ``meta``, the snapshot metadata an op already read, saves a read."""
+        meta = meta or self.snapshot()[1]
         spec = spec if spec is not None else meta["partition_spec"]
         stats_cols = manifest.stats_cols(meta)
 

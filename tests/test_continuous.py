@@ -1,5 +1,9 @@
 """Continuous-operation scenarios: multi-wave incremental ingest through the
-whole medallion, and crash atomicity of the global cluster job."""
+whole medallion, and crash atomicity and resume of the key-range cluster
+job."""
+
+import glob
+import os
 
 import pyarrow.compute as pc
 import pytest
@@ -7,7 +11,9 @@ import pytest
 from e2e_ocsf_cyber_lakehouse_blueprint_ray import config as cfg, synth
 from e2e_ocsf_cyber_lakehouse_blueprint_ray.pipelines.medallion import GOLD_TABLES, Medallion
 from e2e_ocsf_cyber_lakehouse_blueprint_ray.stages import cluster as cluster_mod
+from e2e_ocsf_cyber_lakehouse_blueprint_ray.stages import expire
 from e2e_ocsf_cyber_lakehouse_blueprint_ray.stages import optimize as optimize_mod
+from e2e_ocsf_cyber_lakehouse_blueprint_ray.state import lineage
 from tests.test_table import CONF, make_table, sorted_scan
 
 
@@ -50,36 +56,61 @@ def test_two_wave_incremental_medallion(tmp_path_factory, ray_session):
     assert after.num_rows == before.num_rows
 
 
-def test_global_cluster_crash_is_atomic(tmp_table_dir, ray_session):
-    """A failure inside the global-sort cluster pipeline leaves the table on
-    its previous snapshot; the rerun succeeds and scan equality holds."""
+def _unit_mtimes(t) -> dict[str, int]:
+    """mtime of every unit record of the table's cluster jobs and of every
+    file on disk that such a record names."""
+    out = {}
+    for rec in glob.glob(os.path.join(t.dir, lineage.LINEAGE_DIR, "cluster-*", "*.arrow")):
+        _, ents = lineage._read_unit(rec)
+        for p in [rec] + [os.path.join(t.dir, q) for q in ents["path"].to_pylist()]:
+            if os.path.exists(p):
+                out[p] = os.stat(p).st_mtime_ns
+    return out
+
+
+def _runs_left(t) -> list[str]:
+    return glob.glob(os.path.join(t.dir, lineage.runs_dir("*")))
+
+
+def test_global_cluster_crash_is_atomic(tmp_path, ray_session):
+    """mode="global" cuts every partition into key ranges. A crash inside
+    the scatter or inside a sub-bin leaves the table on its previous
+    snapshot; a rerun redoes no finished unit (its lineage record and
+    output files keep their mtimes), commits parent + 1 with scan equality
+    and deletes the job's staging runs; remove_orphans deletes the runs a
+    crashed job left."""
     data = synth.transcripts(0.001)
-    t = make_table(tmp_table_dir, data, rows_per_file=300)
-    parent = t.current_snapshot_id()
-
-    import e2e_ocsf_cyber_lakehouse_blueprint_ray.stages.cluster as C
-
-    orig = C._write_sorted_batch
-
-    def boom(batch, **kw):
-        raise RuntimeError("injected writer crash")
-
-    C._write_sorted_batch = boom
-    try:
-        with pytest.raises(Exception):
-            cluster_mod.cluster(t, mode="global", curve="zorder")
-    finally:
-        C._write_sorted_batch = orig
-    assert t.current_snapshot_id() == parent  # no partial commit
-    # rerun succeeds; orphan staging files from the crash are invisible to
-    # readers and removable
-    sid = cluster_mod.cluster(t, mode="global", curve="zorder")
-    assert sid == parent + 1
     expect = data.take(
         pc.sort_indices(data, sort_keys=[("conv_id", "ascending"), ("turn_idx", "ascending")])
     )
-    assert sorted_scan(t).equals(expect)
-    from e2e_ocsf_cyber_lakehouse_blueprint_ray.stages import expire
+    for where in ("scatter", "sub-bin"):
+        t = make_table(str(tmp_path / where), data, rows_per_file=300)
+        parent = t.current_snapshot_id()
+        # one scatter unit per partition: every partition is under the cap
+        n_scatter = len(set(t.entries()["partition"].to_pylist()))
+        first = 2 if where == "scatter" else n_scatter + 2
+        # crash, then crash again later so the finished units' run files
+        # are still on disk to compare
+        for crash_after in (first, first + 2 if where == "sub-bin" else n_scatter):
+            done = _unit_mtimes(t)
+            with pytest.raises(Exception):
+                cluster_mod.cluster(t, mode="global", fail_after=crash_after, concurrency=1)
+            assert t.current_snapshot_id() == parent  # no partial commit
+            now = _unit_mtimes(t)
+            assert {p: now.get(p) for p in done} == done
+        records = {p: m for p, m in now.items() if p.endswith(".arrow")}
+        assert len(records) == crash_after
+        assert cluster_mod.cluster(t, mode="global") == parent + 1
+        final = _unit_mtimes(t)
+        assert {p: final.get(p) for p in records} == records
+        assert sorted_scan(t).equals(expect)
+        assert _runs_left(t) == []
 
-    expire.remove_orphans(t)
+    # a crashed job's runs are orphans: remove_orphans deletes them
+    with pytest.raises(Exception):
+        cluster_mod.cluster(t, mode="global", fail_after=1, concurrency=1)
+    assert _runs_left(t)
+    removed = expire.remove_orphans(t)
+    assert removed and all(p.startswith(lineage.LINEAGE_DIR) for p in removed)
+    assert _runs_left(t) == []
     assert sorted_scan(t).equals(expect)

@@ -316,39 +316,106 @@ def test_cluster_n_columns_partition_resume(tmp_table_dir, ray_session, base_dat
     assert expire_mod.remove_orphans(t) == []
 
 
-def test_cluster_by_columns_multi_dim(tmp_table_dir, ray_session, base_data):
+def test_cluster_by_columns_multi_dim(tmp_path, ray_session, base_data):
     """Generalized CLUSTER BY (conv_id, turn_idx, ts): scan equality plus
     per-file stats tight enough that a turn_idx range prunes files — the
     extra dimension's locality is real, not just a reshuffle. Small target
     files so each covers a short z-range (≈2 leading bits per dimension).
-    Global mode: in partition mode the same table becomes half as many
-    target-size files, and a turn_idx slice then touches every file."""
+    The slice is the upper half of turn_idx's range, which the key's high
+    turn_idx bit separates; the default (conv_id, ts) key, clustering a
+    copy of the same input, keeps more files for it."""
     import dataclasses
+    import shutil
 
     from e2e_ocsf_cyber_lakehouse_blueprint_ray.table import Table
     from e2e_ocsf_cyber_lakehouse_blueprint_ray.schema import TRANSCRIPT, TRANSCRIPT_STATS_COLS
 
     conf = dataclasses.replace(CONF, target_file_bytes=32 * 1024)
+    d3, d2 = str(tmp_path / "three"), str(tmp_path / "two")
     t = Table.create(
-        tmp_table_dir,
+        d3,
         TRANSCRIPT,
         partition_spec=f"hash:conv_id:{CONF.num_partitions}",
         config=conf,
         stats_cols=TRANSCRIPT_STATS_COLS,
     )
     t.write_table(base_data, rows_per_file=300)
-    sid = cluster_mod.cluster(t, cols=["conv_id", "turn_idx", "ts"], mode="global")
+    shutil.copytree(d3, d2)
+    sid = cluster_mod.cluster(t, cols=["conv_id", "turn_idx", "ts"])
     assert sid == t.current_snapshot_id()
     assert sorted_scan(t).equals(expected_sorted(base_data))
     ents = t.entries()
     assert ents.num_rows >= 2
-    # the turn_idx dimension should let a low-turn slice skip SOME files
-    pruned = t.pruned_entries(predicates={"turn_idx": (0, 1)})
+    hi = int(pc.max(base_data["turn_idx"]).as_py())
+    upper = {"turn_idx": ((hi + 1) // 2, hi)}
+    pruned = t.pruned_entries(predicates=upper)
     assert pruned.num_rows < ents.num_rows
-    got = t.read_arrow(predicates={"turn_idx": (0, 1)})
-    got = got.filter(pc.less_equal(got["turn_idx"], 1))
-    expected = base_data.filter(pc.less_equal(base_data["turn_idx"], 1))
+    t2 = Table(d2, conf)
+    cluster_mod.cluster(t2)
+    assert pruned.num_rows < t2.pruned_entries(predicates=upper).num_rows
+    got = t.read_arrow(predicates=upper)
+    got = got.filter(pc.greater_equal(got["turn_idx"], upper["turn_idx"][0]))
+    expected = base_data.filter(pc.greater_equal(base_data["turn_idx"], upper["turn_idx"][0]))
     assert got.num_rows == expected.num_rows
+
+
+def test_cluster_key_ranges_are_deterministic(tmp_path, ray_session, base_data):
+    """Key-range sub-bins are a pure function of the input: with a cap under
+    every partition's bytes, mode="auto" cuts the ranges mode="global"
+    forces, and two copies of one table cluster into identical files (path,
+    rows, content digest). Per partition, the ranges write at most k - 1
+    more files than partition mode, which sorts the partition whole. Two
+    partitions, so the boundary sample is a strided subset of each, and 32
+    KB target files, so a partition and each of its ranges write several."""
+    import dataclasses
+    import hashlib
+    import shutil
+
+    from e2e_ocsf_cyber_lakehouse_blueprint_ray.schema import TRANSCRIPT, TRANSCRIPT_STATS_COLS
+    from e2e_ocsf_cyber_lakehouse_blueprint_ray.table import Table
+
+    conf = dataclasses.replace(CONF, target_file_bytes=32 * 1024)
+    src = Table.create(
+        str(tmp_path / "src"),
+        TRANSCRIPT,
+        partition_spec="hash:conv_id:2",
+        config=conf,
+        stats_cols=TRANSCRIPT_STATS_COLS,
+    )
+    src.write_table(base_data, rows_per_file=300)
+    part_bytes = _per_partition(src, "bytes", "sum")
+    cap = min(part_bytes.values()) // 2
+    ks = {p: cluster_mod._num_ranges("global", b, cap) for p, b in part_bytes.items()}
+    assert ks == {p: cluster_mod._num_ranges("auto", b, cap) for p, b in part_bytes.items()}
+    conf = dataclasses.replace(conf, partition_sort_max_bytes=cap)
+
+    def clustered(mode):
+        d = str(tmp_path / mode)
+        shutil.copytree(src.dir, d)
+        t = Table(d, conf)
+        assert cluster_mod.cluster(t, mode=mode) == src.current_snapshot_id() + 1
+        assert sorted_scan(t).equals(expected_sorted(base_data))
+        return t
+
+    def files(t):
+        return sorted(
+            (p, n, hashlib.sha256(open(os.path.join(t.dir, p), "rb").read()).hexdigest())
+            for p, n in zip(t.entries()["path"].to_pylist(), t.entries()["rows"].to_pylist())
+        )
+
+    forced, auto, whole = clustered("global"), clustered("auto"), clustered("partition")
+    assert files(forced) == files(auto)
+
+    n_forced, n_whole = _per_partition(forced, "path", "count"), _per_partition(whole, "path", "count")
+    assert n_forced.keys() == ks.keys() and min(n_whole.values()) > 1
+    for p, k in ks.items():
+        assert n_forced[p] <= n_whole[p] + k - 1, (p, k)
+
+
+def _per_partition(t, col: str, agg: str) -> dict:
+    """{partition: ``agg`` of ``col``} over the table's live entries."""
+    g = t.entries().group_by("partition").aggregate([(col, agg)])
+    return dict(zip(g["partition"].to_pylist(), g[f"{col}_{agg}"].to_pylist()))
 
 
 def test_merge_null_and_widened_source_keys(tmp_table_dir, ray_session, base_data):

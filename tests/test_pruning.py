@@ -253,3 +253,27 @@ def test_rewrite_units_do_not_read_the_snapshot(tmp_table_dir, monkeypatch):
     out = t.write_batch_files(base, meta["partition_spec"], TRANSCRIPT_STATS_COLS, "w", 100)
     assert calls == []
     assert int(pc.sum(out["rows"]).as_py()) == base.num_rows
+
+
+def test_respec_reads_its_parent_snapshot_once(tmp_table_dir, ray_session, monkeypatch):
+    """repartition_table reads its parent snapshot once before it commits:
+    the scan and the routed stager reuse the entries and metadata it holds.
+    (The commit then makes its own read to check for conflicts.)"""
+    from e2e_ocsf_cyber_lakehouse_blueprint_ray.stages import respec
+
+    base = synth.transcripts(0.001)
+    t = make_table(tmp_table_dir, base, rows_per_file=300)
+    calls = _count_snapshot_reads(monkeypatch)
+    at_commit = []
+    real_commit = Table.commit
+
+    def commit(self, **kw):
+        at_commit.append(len(calls))
+        return real_commit(self, **kw)
+
+    monkeypatch.setattr(Table, "commit", commit)
+    respec.repartition_table(t, "hash:conv_id:3")
+    assert at_commit == [1]
+    got = t.read_arrow()
+    assert t.partition_spec() == "hash:conv_id:3"
+    assert got.num_rows == base.num_rows

@@ -224,8 +224,8 @@ def test_struct_subfield_evolution_reads_and_compacts(tmp_path, ray_session):
         return sorted(got.to_pylist(), key=lambda r: r["id"])
 
     assert rows() == want
-    # the distributed scan and the global cluster (which reads through it)
-    # align each old file's struct too
+    # the distributed scan and the key-range cluster (whose scatter units
+    # read the old files) align each old file's struct too
     assert sorted(t.scan().take_all(), key=lambda r: r["id"]) == want
     pre = t.current_snapshot_id()
     assert cluster_mod.cluster(t, cols=["id"], mode="global") == pre + 1
