@@ -42,7 +42,7 @@ def ingest_jsonl(
     (a map_batches callable class, e.g. functions.meta.BronzeMeta) into
     ``table``. Returns (snapshot_id | None, new_files)."""
     all_files = sorted(glob.glob(os.path.join(source_dir, pattern)))
-    consumed = lineage.consumed_inputs(table.dir, "ingest")
+    consumed = lineage.consumed_inputs(table.dir, ["ingest"])["ingest"]
     new = [f for f in all_files if f not in consumed]
     if not new:
         return None, []
@@ -62,7 +62,7 @@ def ingest_jsonl(
     )
     parent = table.current_snapshot_id()
     sid = table.append_dataset(
-        out, operation="ingest", use_actor=use_actor, extra=lineage.inputs_extra("ingest", new)
+        out, operation="ingest", use_actor=use_actor, extra=lineage.inputs_extra({"ingest": new})
     )
     lineage.record_inputs(table.dir, "ingest", parent, sid, new)
     return sid, new

@@ -27,8 +27,8 @@ per-unit lineage for a mid-job crash resume.
   run file of its range, ``_lineage/<job>/runs/<partition>/r<range>/``;
   each range's run files are then one sub-bin. This is a bounded fan-out,
   two-stage repartition with no object-store shuffle, and the same input
-  always writes the same files. The job's runs are deleted after its
-  commit.
+  always writes the same files. The runs live in the job's lineage dir,
+  which its commit deletes (``lineage.finalize_job``).
 """
 
 from __future__ import annotations
@@ -36,16 +36,14 @@ from __future__ import annotations
 import functools
 import json
 import os
-import shutil
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 from ..hashing import hash64_column, hilbert_xy2d, morton2, morton_nd
 from ..state import lineage, manifest
-from ..table import Table, align_to
+from ..table import Table, align_to, read_file
 from . import rewrite
 
 #: the time column a default key uses: the first of these the table has
@@ -138,8 +136,7 @@ def _range_bounds(
     stride = max(1, rows // (k * _SAMPLE_PER_RANGE))
     picks, off = [], 0
     for p in paths:
-        with pq.ParquetFile(os.path.join(table_dir, p)) as f:
-            t = align_to(f.read(columns=[c for c in target.names if c in f.schema_arrow.names]), target)
+        t = align_to(read_file(os.path.join(table_dir, p), target.names), target)
         picks.append(t.take(pa.array(np.arange(-off % stride, t.num_rows, stride))))
         off += t.num_rows
     keys = np.sort(key(pa.concat_tables(picks)))
@@ -231,5 +228,4 @@ def cluster(
         job_id=job_id,
         changes=[],  # content-preserving: no row changed
     )
-    shutil.rmtree(os.path.join(table.dir, lineage.runs_dir(job_id)), ignore_errors=True)
     return sid

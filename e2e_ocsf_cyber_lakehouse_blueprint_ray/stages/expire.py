@@ -67,12 +67,17 @@ def expire_snapshots(
 def remove_orphans(table: Table, *, all_snapshots: bool = True) -> list[str]:
     """Delete data and change files on disk referenced by NO (retained)
     snapshot, and every job's staging run files — leftovers of crashed jobs
-    whose commit never happened. Call only when no maintenance job is in
-    flight (same contract as Delta VACUUM)."""
+    whose commit never happened — plus the lineage dir of every job the
+    lineage log already holds (a crash between its log write and the dir's
+    delete). Call only when no maintenance job is in flight (same contract
+    as Delta VACUUM)."""
     ids = manifest.list_snapshot_ids(table.dir)
     live: set[str] = set()
     for sid in ids if all_snapshots else [table.current_snapshot_id()]:
         live.update(_referenced(table, sid))
+    lin = os.path.join(table.dir, lineage.LINEAGE_DIR)
+    for job in set(lineage.read_log(table.dir)["job_id"].to_pylist()):
+        shutil.rmtree(os.path.join(lin, job), ignore_errors=True)
     runs = glob.glob(os.path.join(table.dir, lineage.runs_dir("*")))
     deleted = []
     for top in [os.path.join(table.dir, "data"), os.path.join(table.dir, manifest.CHANGE_DIR)] + runs:

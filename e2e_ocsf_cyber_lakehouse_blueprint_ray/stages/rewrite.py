@@ -39,12 +39,11 @@ from collections.abc import Callable
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 from ..config import EngineConfig
 from ..state import lineage, manifest
 from ..state.manifest import ENTRY_SCHEMA
-from ..table import Table, align_to
+from ..table import Table, align_to, read_file
 
 BIN_FIELDS = ["unit_id", "partition", "inputs_json", "in_rows", "in_bytes"]
 
@@ -178,7 +177,7 @@ class BinRewriter:
         if not inputs:
             return None
         return pa.concat_tables(
-            align_to(pq.read_table(os.path.join(self.table.dir, p)), self.schema)
+            align_to(read_file(os.path.join(self.table.dir, p)), self.schema)
             for p in inputs
         ).combine_chunks()
 
@@ -359,43 +358,52 @@ def run_bins(
     concurrency: int | None = None,
     **rewriter_kw,
 ) -> pa.Table:
-    """Execute bins as stateless tasks; returns the new manifest entries.
+    """Execute bins as stateless tasks (``map_units``); returns the new
+    manifest entries.
 
     ``rewriter_kw`` go to ``BinRewriter``, including the job's ``schema``
-    and ``stats_cols`` from the caller's snapshot read.
-
-    ``from_items`` puts one bin per block, so each bin is one task —
-    straggler-friendly scheduling with NO actor-pool spin-up on the critical
-    path (a fresh 32-actor pool costs ~3 s; a maintenance run has several
-    rewrite stages, and tasks reuse Ray's warm workers across them). The
-    rewriter object is rebuilt per task — its init is a zero-copy
-    ``ray.get`` of the broadcast refs, microseconds against a multi-MB file
-    rewrite.
+    and ``stats_cols`` from the caller's snapshot read. The rewriter object
+    is rebuilt per task — its init is a zero-copy ``ray.get`` of the
+    broadcast refs, microseconds against a multi-MB file rewrite.
     """
-    import ray.data as rd
-
-    if not bins:
-        return ENTRY_SCHEMA.empty_table()
-    conc = max(1, min(concurrency or table.config.rewrite_concurrency, len(bins)))
     table_dir, config = table.dir, table.config
 
     def rewrite_bin(batch: pa.Table) -> pa.Table:
         return BinRewriter(table_dir, config, job_id, **rewriter_kw)(batch)
 
-    # bundle bins so the task count is ~4 waves per slot: per-task scheduling
-    # costs the driver ~5-10 ms, and hundreds of single-bin tasks serialize
-    # into seconds of pure executor overhead at high core counts.
-    # LPT order (heaviest bins first): the straggler tail of the LAST wave
-    # bounds stage wall time, so heavy units must start early — hot
-    # partitions with attached MERGE upserts otherwise land late and idle
-    # every other slot behind them.
-    bins = sorted(bins, key=lambda b: -b["in_bytes"])
-    per_task = max(1, -(-len(bins) // (conc * 4)))
-    ds = rd.from_items(bins)
-    ent_ds = ds.map_batches(
-        rewrite_bin,
-        batch_format="pyarrow",
-        batch_size=per_task,
-        concurrency=conc,
+    return map_units(bins, rewrite_bin, concurrency or config.rewrite_concurrency)
+
+
+def map_units(
+    units: list[dict],
+    fn: Callable[[pa.Table], pa.Table],
+    concurrency: int,
+    schema: pa.Schema = ENTRY_SCHEMA,
+) -> pa.Table:
+    """Run ``fn`` (a batch of unit rows → the entries of the files it
+    wrote, in ``schema``) over ``units`` as stateless Ray Data tasks and
+    gather the entries on the driver. Each unit row carries ``in_bytes``.
+
+    ``from_items`` puts one unit per block, so scheduling is
+    straggler-friendly with NO actor-pool spin-up on the critical path (a
+    fresh 32-actor pool costs ~3 s; a maintenance run has several rewrite
+    stages, and tasks reuse Ray's warm workers across them).
+    """
+    import ray.data as rd
+
+    if not units:
+        return schema.empty_table()
+    conc = max(1, min(concurrency, len(units)))
+    # bundle units so the task count is ~4 waves per slot: per-task
+    # scheduling costs the driver ~5-10 ms, and hundreds of single-unit
+    # tasks serialize into seconds of pure executor overhead at high core
+    # counts. LPT order (heaviest units first): the straggler tail of the
+    # LAST wave bounds stage wall time, so heavy units must start early —
+    # hot partitions with attached MERGE upserts otherwise land late and
+    # idle every other slot behind them.
+    units = sorted(units, key=lambda u: -u["in_bytes"])
+    per_task = max(1, -(-len(units) // (conc * 4)))
+    ds = rd.from_items(units).map_batches(
+        fn, batch_format="pyarrow", batch_size=per_task, concurrency=conc
     )
-    return manifest.collect_entries(ent_ds)
+    return manifest.collect_entries(ds, schema=schema)

@@ -15,8 +15,11 @@ Layout:  <table>/_lineage/<job_id>/<unit_id>.arrow  (atomic tmp+rename):
              change files) as an Arrow IPC file, the rest of the record as
              JSON in its schema metadata
          <table>/_lineage/<job_id>/runs/   a cluster job's staging run
-             files (stages/cluster.py), deleted after its commit
+             files (stages/cluster.py)
          <table>/_lineage/log/lineage-<snapshot>.parquet   (committed log)
+
+A job's dir lives only until its commit: ``finalize_job`` copies the unit
+records into the log and then deletes the dir, runs included.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import time
 
 import pyarrow as pa
@@ -123,7 +127,10 @@ def load_unit(table_dir: str, job_id: str, uid: str) -> pa.Table | None:
 
 
 def finalize_job(table_dir: str, job_id: str, snapshot_id: int) -> None:
-    """Compile the job's unit records into the committed lineage log."""
+    """Compile the job's unit records into the committed lineage log, then
+    delete the job's dir: the log now holds what a resume would need. A
+    crash between the two leaves a dir that ``expire.remove_orphans``
+    deletes."""
     rows = {k: [] for k in LOG_SCHEMA.names}
     for path in _unit_paths(table_dir, job_id):
         rec, ents = _read_unit(path)
@@ -142,6 +149,7 @@ def finalize_job(table_dir: str, job_id: str, snapshot_id: int) -> None:
     tmp = out + f".tmp.{os.getpid()}"
     pq.write_table(pa.table(rows, schema=LOG_SCHEMA), tmp, compression="zstd")
     os.replace(tmp, out)
+    shutil.rmtree(_jdir(table_dir, job_id), ignore_errors=True)
 
 
 def read_log(table_dir: str) -> pa.Table:
@@ -167,10 +175,11 @@ def read_log(table_dir: str) -> pa.Table:
 INPUTS_EXTRA = "inputs"
 
 
-def inputs_extra(op: str, inputs) -> dict:
-    """The commit ``extra`` recording that an ``op`` commit consumes
-    ``inputs``."""
-    return {INPUTS_EXTRA: json.dumps({op: sorted(inputs)})}
+def inputs_extra(inputs_by_op: dict) -> dict:
+    """The commit ``extra`` recording that one commit consumes, for each op
+    in ``inputs_by_op``, that op's inputs."""
+    by_op = {op: sorted(files) for op, files in sorted(inputs_by_op.items())}
+    return {INPUTS_EXTRA: json.dumps(by_op)}
 
 
 def record_inputs(table_dir: str, op: str, parent: int | None, snapshot_id: int, inputs) -> None:
@@ -183,21 +192,25 @@ def record_inputs(table_dir: str, op: str, parent: int | None, snapshot_id: int,
     finalize_job(table_dir, job_id, snapshot_id)
 
 
-def consumed_inputs(table_dir: str, op: str) -> set[str]:
-    """Every file an ``op`` commit consumed: the lineage log's ``op`` jobs,
-    plus the extras of snapshots committed after the newest logged one."""
+def consumed_inputs(table_dir: str, ops) -> dict[str, set[str]]:
+    """``{op: every file an op commit consumed}`` from one pass over the
+    lineage log: each op's logged jobs, plus the extras of snapshots
+    committed after that op's newest logged one."""
     log = read_log(table_dir)
-    out: set[str] = set()
-    max_logged = -1
+    out: dict[str, set[str]] = {op: set() for op in ops}
+    max_logged = dict.fromkeys(out, -1)
     for files, job, snap in zip(
         log["input_files"].to_pylist(), log["job_id"].to_pylist(), log["snapshot_id"].to_pylist()
     ):
-        if job.rsplit("-", 2)[0] == op:  # job_id_for(op, parent, params)
-            out.update(files)
-            max_logged = max(max_logged, int(snap))
+        op = job.rsplit("-", 2)[0]  # job_id_for(op, parent, params)
+        if op in out:
+            out[op].update(files)
+            max_logged[op] = max(max_logged[op], int(snap))
+    since = min(max_logged.values(), default=-1)
     for sid in manifest.list_snapshot_ids(table_dir):
-        if sid > max_logged:
+        if sid > since:
             raw = manifest.snapshot_extra(table_dir, sid).get(INPUTS_EXTRA)
-            if raw:
-                out.update(json.loads(raw).get(op, []))
+            for op, files in json.loads(raw).items() if raw else ():
+                if op in out and sid > max_logged[op]:
+                    out[op].update(files)
     return out

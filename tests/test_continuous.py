@@ -14,6 +14,7 @@ from e2e_ocsf_cyber_lakehouse_blueprint_ray.stages import cluster as cluster_mod
 from e2e_ocsf_cyber_lakehouse_blueprint_ray.stages import expire
 from e2e_ocsf_cyber_lakehouse_blueprint_ray.stages import optimize as optimize_mod
 from e2e_ocsf_cyber_lakehouse_blueprint_ray.state import lineage
+from e2e_ocsf_cyber_lakehouse_blueprint_ray.table import Table
 from tests.test_table import CONF, make_table, sorted_scan
 
 
@@ -72,13 +73,22 @@ def _runs_left(t) -> list[str]:
     return glob.glob(os.path.join(t.dir, lineage.runs_dir("*")))
 
 
-def test_global_cluster_crash_is_atomic(tmp_path, ray_session):
+def test_global_cluster_crash_is_atomic(tmp_path, ray_session, monkeypatch):
     """mode="global" cuts every partition into key ranges. A crash inside
     the scatter or inside a sub-bin leaves the table on its previous
     snapshot; a rerun redoes no finished unit (its lineage record and
-    output files keep their mtimes), commits parent + 1 with scan equality
-    and deletes the job's staging runs; remove_orphans deletes the runs a
-    crashed job left."""
+    output files keep their mtimes up to its commit, whose
+    ``finalize_job`` then deletes the job's dir), commits parent + 1 with
+    scan equality and deletes the job's staging runs; remove_orphans
+    deletes the runs a crashed job left."""
+    real_finalize = lineage.finalize_job
+    at_commit = {}
+
+    def finalize(table_dir, job_id, snapshot_id):
+        at_commit.update(_unit_mtimes(Table(table_dir)))
+        return real_finalize(table_dir, job_id, snapshot_id)
+
+    monkeypatch.setattr(lineage, "finalize_job", finalize)
     data = synth.transcripts(0.001)
     expect = data.take(
         pc.sort_indices(data, sort_keys=[("conv_id", "ascending"), ("turn_idx", "ascending")])
@@ -100,11 +110,12 @@ def test_global_cluster_crash_is_atomic(tmp_path, ray_session):
             assert {p: now.get(p) for p in done} == done
         records = {p: m for p, m in now.items() if p.endswith(".arrow")}
         assert len(records) == crash_after
+        at_commit.clear()
         assert cluster_mod.cluster(t, mode="global") == parent + 1
-        final = _unit_mtimes(t)
-        assert {p: final.get(p) for p in records} == records
+        assert {p: at_commit.get(p) for p in records} == records
         assert sorted_scan(t).equals(expect)
         assert _runs_left(t) == []
+        assert _unit_mtimes(t) == {}  # the committed job's dir is gone
 
     # a crashed job's runs are orphans: remove_orphans deletes them
     with pytest.raises(Exception):

@@ -63,6 +63,42 @@ def test_compact_resume_after_crash(tmp_table_dir, ray_session, base_data):
     assert orphans == []
 
 
+def test_committed_jobs_leave_no_unit_records(
+    tmp_table_dir, ray_session, base_data, monkeypatch
+):
+    """A committed job's unit records move into the lineage log and its dir
+    is deleted: after compact → cluster (key ranges, so staging runs too) →
+    merge only the log is left under the lineage dir, holding one row per
+    unit each job recorded. A logged job's dir that outlived its commit (a
+    crash between the log write and the delete) is deleted by
+    remove_orphans."""
+    from e2e_ocsf_cyber_lakehouse_blueprint_ray.state import lineage
+
+    units: dict[str, int] = {}
+    real = lineage.finalize_job
+
+    def counting(table_dir, job_id, snapshot_id):
+        units[job_id] = lineage.units_done(table_dir, job_id)
+        return real(table_dir, job_id, snapshot_id)
+
+    monkeypatch.setattr(lineage, "finalize_job", counting)
+    t = make_table(tmp_table_dir, base_data)
+    src = synth.merge_source(base_data)
+    compact_mod.compact(t)
+    cluster_mod.cluster(t, mode="global")
+    merge_mod.merge(t, src)
+    assert len(units) == 3 and all(units.values()), units
+    lin = os.path.join(t.dir, lineage.LINEAGE_DIR)
+    assert os.listdir(lin) == ["log"]
+    jobs = lineage.read_log(t.dir)["job_id"].to_pylist()
+    assert {j: jobs.count(j) for j in set(jobs)} == units
+
+    lineage.save_unit(t.dir, jobs[0], "left-over", {"partition": ""})
+    assert expire_mod.remove_orphans(t) == []
+    assert os.listdir(lin) == ["log"]
+    assert sorted_scan(t).equals(synth.apply_merge_expected(base_data, src))
+
+
 @pytest.mark.parametrize("mode", ["partition", "global"])
 @pytest.mark.parametrize("curve", ["zorder", "hilbert"])
 def test_cluster_scan_equality(tmp_table_dir, ray_session, base_data, mode, curve):

@@ -75,12 +75,12 @@ def test_bronze_ingest_exactly_once_survives_lineage_loss(medallion, layer):
         op = "flow-silver-slack"
 
         def rerun():
-            return m.run_silver(parallel=False)["slack"], []
-    before = lineage.consumed_inputs(t.dir, op)
+            return m.run_silver()["slack"], []
+    before = lineage.consumed_inputs(t.dir, [op])[op]
     assert before  # consumed during fixture setup
     # simulate the lineage record never landing
     _shutil.rmtree(f"{t.dir}/_lineage", ignore_errors=True)
-    after = lineage.consumed_inputs(t.dir, op)
+    after = lineage.consumed_inputs(t.dir, [op])[op]
     assert after == before  # recovered from snapshot extra metadata
     sid, new = rerun()
     assert sid is None and new == []
@@ -381,33 +381,79 @@ def _gold_counts(m):
 
 
 def test_gold_reads_each_silver_table_once(tmp_path, ray_session, monkeypatch):
-    """One gold run reads each silver table's new files in ONE Ray Data
-    read and fans the batches out to the source's 4-5 class sinks."""
-    import ray.data as rd
-
+    """One gold run is ONE runner call for all 15 flows, and its plan puts
+    each new silver file in exactly one unit, every source's new files of
+    one partition in the same unit."""
     m, _ = _silver_ready(tmp_path, 30)
-    reads = []
-    real = rd.read_parquet
+    calls, plans = [], []
+    real_run, real_plan = Medallion._run_flows, Medallion._plan
 
-    def counting(paths, **kw):
-        reads.append(sorted(paths))
-        return real(paths, **kw)
+    def run(self, flows_, **kw):
+        calls.append(sorted(f.tag for f in flows_))
+        return real_run(self, flows_, **kw)
 
-    monkeypatch.setattr(rd, "read_parquet", counting)
+    def plan(self, flows_):
+        out = real_plan(self, flows_)
+        plans.append(out[0])
+        return out
+
+    monkeypatch.setattr(Medallion, "_run_flows", run)
+    monkeypatch.setattr(Medallion, "_plan", plan)
     out = m.run_gold(use_actor=False)
     assert all(v is not None for v in out.values())
-    silver = [m.table(f"silver_{src}_audit_logs").live_files() for src in SOURCES]
-    assert sorted(reads) == sorted(silver)
+    assert calls == [sorted(f"gold-{src}-{cls}" for src, cls in flows())]
+    units = [json.loads(u["inputs"]) for u in plans[0]]
+    silver = [p for src in SOURCES for p in m.table(f"silver_{src}_audit_logs").live_files()]
+    assert sorted(p for u in units for p in u) == sorted(silver)
+    unit_of: dict[str, set[int]] = {}
+    for i, u in enumerate(units):
+        for p in u:
+            unit_of.setdefault(p.split("/data/")[1].split("/")[0], set()).add(i)
+    assert len(unit_of) > 1 and all(len(v) == 1 for v in unit_of.values())
 
 
-@pytest.mark.parametrize("k", [1, 7])
+def test_gold_writes_one_file_per_sink_partition(tmp_path, ray_session, monkeypatch):
+    """One gold run writes exactly one file per (sink, partition) present
+    in its rows, and makes exactly one commit per sink, whose extras name
+    the consumed inputs of every flow into that sink."""
+    import pyarrow as pa_
+
+    from e2e_ocsf_cyber_lakehouse_blueprint_ray.state import lineage
+    from e2e_ocsf_cyber_lakehouse_blueprint_ray.table import Table
+
+    m, _ = _silver_ready(tmp_path, 40)
+    commits = []
+    real = Table.commit
+
+    def recording(self, **kw):
+        commits.append((self.dir, kw))
+        return real(self, **kw)
+
+    monkeypatch.setattr(Table, "commit", recording)
+    m.run_gold(use_actor=False)
+    monkeypatch.undo()
+    sinks = {m.table(name).dir: cls for cls, name in GOLD_TABLES.items()}
+    assert sorted(d for d, _ in commits) == sorted(sinks)
+    silver = {src: m.table(f"silver_{src}_audit_logs").live_files() for src in SOURCES}
+    for d, kw in commits:
+        cls = sinks[d]
+        t = Table(d)
+        dates = t.read_arrow(columns=["_event_date"])["_event_date"].cast(pa_.string())
+        want = sorted(f"_event_date-{v}" for v in pc.unique(dates).to_pylist())
+        assert sorted(t.entries()["partition"].to_pylist()) == want, cls
+        consumed = json.loads(kw["extra"][lineage.INPUTS_EXTRA])
+        mine = [src for src, c in flows() if c == cls]
+        assert consumed == {f"flow-gold-{src}-{cls}": sorted(silver[src]) for src in mine}
+
+
+@pytest.mark.parametrize("k", [1, 4])
 def test_gold_crash_between_sink_commits_resumes_exactly_once(
     tmp_path, ray_session, monkeypatch, k
 ):
-    """A crash after the k-th of a run's 15 sink commits leaves some flows
+    """A crash after the k-th of a run's 6 sink commits leaves some flows
     of a silver table committed and the rest not. A second wave lands
     before the resume, so the committed flows see only its files and the
-    others see both waves: the resume reads each file set separately and
+    others see both waves: the resume gives each flow its own file set and
     the sinks end up equal to a clean run, nothing lost or doubled."""
     from e2e_ocsf_cyber_lakehouse_blueprint_ray.table import Table
 
@@ -423,7 +469,7 @@ def test_gold_crash_between_sink_commits_resumes_exactly_once(
 
     monkeypatch.setattr(Table, "commit", crashing)
     with pytest.raises(RuntimeError, match="injected crash"):
-        m.run_gold(use_actor=False, parallel=False)
+        m.run_gold(use_actor=False)
     monkeypatch.undo()
     assert len(calls) == k + 1
 
@@ -439,10 +485,10 @@ def test_gold_crash_between_sink_commits_resumes_exactly_once(
 
 
 def test_gold_parallel_file_protocol_matches_actor_path(tmp_path_factory, ray_session):
-    """3 concurrent gold jobs (one per silver table, 15 flows) through the
-    flock'd FILE-based optimistic commit protocol (use_actor=False,
-    parallel=True) — shared sinks receive 2-3 racing committers and must
-    converge to the same counts as the actor-serialized path."""
+    """Gold through the flock'd FILE-based optimistic commit protocol
+    (use_actor=False) and through the sinks' metastore actors converges to
+    the same counts. Racing commits to one table are covered by
+    test_concurrency.py::test_concurrent_file_based_commits_do_not_lose_appends."""
     root = tmp_path_factory.mktemp("medallion_par")
     fixtures = str(root / "raw")
     synth.write_audit_fixture(fixtures, n_per_source=60)
@@ -450,12 +496,12 @@ def test_gold_parallel_file_protocol_matches_actor_path(tmp_path_factory, ray_se
     m.setup()
     m.run_bronze(fixtures)
     m.run_silver()
-    m.run_gold(use_actor=False, parallel=True)
+    m.run_gold(use_actor=False)
     m2 = Medallion(str(root / "b"), cfg.test_config())
     m2.setup()
     m2.run_bronze(fixtures)
     m2.run_silver()
-    m2.run_gold(use_actor=True, parallel=False)
+    m2.run_gold(use_actor=True)
     for cls, name in GOLD_TABLES.items():
         a = m.table(name).read_arrow(columns=["class_uid"]).num_rows
         b = m2.table(name).read_arrow(columns=["class_uid"]).num_rows

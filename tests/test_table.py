@@ -259,7 +259,7 @@ def _written_by(op: str, d: str) -> Table:
         m = Medallion(os.path.join(d, "tables"), CONF)
         m.setup()
         m.run_bronze(os.path.join(d, "raw"), parallel=False)
-        m.run_silver(parallel=False)
+        m.run_silver()
         return m.table("silver_github_audit_logs")
     if op == "append_dataset":
         t = make_table(d)
