@@ -1478,47 +1478,37 @@ def _plant_doc_twins(batch: pa.Table) -> pa.Table:
     return pa.concat_tables([batch, twins])
 
 
-def _planted_pairs_table(pairs_ds) -> pa.Table:
-    """Reduce the verified-pair list to the PLANTED-TWIN subset, via
-    connected components of the exact (jaccard == 1.0) pairs: a twin has
-    text identical to its original, so both always land in one component —
-    even when an over-``lsh_bucket_cap`` bucket degrades to chain pairs and
-    the direct (a, a+OFFSET) edge is absent (identical-signature docs are
-    chained contiguously, and every link between identical texts verifies
-    at 1.0). This makes the oracle independent of bucket sizes (round-4
-    advice), though it still assumes unique ``doc_id``s: a repeated id
-    would join two unrelated components. The SQL side is the planted-pair
-    list itself, exactly as ``q_dedup_simhash``."""
-    parent: dict[int, int] = {}
-    seen: set[int] = set()
-
-    def find(x: int) -> int:
-        r = x
-        while parent.get(r, r) != r:
-            r = parent[r]
-        while parent.get(x, x) != x:
-            parent[x], x = r, parent[x]
-        return r
-
-    for r in pairs_ds.take_all():
-        if r["jaccard"] >= 1.0:
-            a, b = int(r["a"]), int(r["b"])
-            seen.update((a, b))
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    rows = [
-        (a, a + _DOC_TWIN_OFFSET)
-        for a in range(_DOC_TWIN_N)
-        if a in seen
-        and a + _DOC_TWIN_OFFSET in seen
-        and find(a) == find(a + _DOC_TWIN_OFFSET)
-    ]
+def _pair_table(pairs) -> pa.Table:
+    """The sorted (a, b) pairs as an int64 table — the explicit schema
+    keeps an empty pair list well-typed."""
+    pairs = sorted(pairs)
     return pa.table(
         {
-            "a": pa.array([r[0] for r in rows], pa.int64()),
-            "b": pa.array([r[1] for r in rows], pa.int64()),
+            "a": pa.array([p[0] for p in pairs], pa.int64()),
+            "b": pa.array([p[1] for p in pairs], pa.int64()),
         }
+    )
+
+
+def _planted_pairs_table(pairs_ds) -> pa.Table:
+    """Reduce the verified-pair list to the PLANTED-TWIN subset, via
+    connected components (``dedup.duplicate_clusters``) of the exact
+    (jaccard == 1.0) pairs: a twin has text identical to its original, so
+    both always land in one component — even when an over-``lsh_bucket_cap``
+    bucket degrades to chain pairs and the direct (a, a+OFFSET) edge is
+    absent (identical-signature docs are chained contiguously, and every
+    link between identical texts verifies at 1.0). This makes the oracle
+    independent of bucket sizes (round-4 advice), though it still assumes
+    unique ``doc_id``s: a repeated id would join two unrelated components.
+    The SQL side is the planted-pair list itself, exactly as
+    ``q_dedup_simhash``."""
+    exact = _pair_table((r["a"], r["b"]) for r in pairs_ds.take_all() if r["jaccard"] >= 1.0)
+    cl = dedup_mod.duplicate_clusters(exact)
+    comp = dict(zip(cl["doc_id"].to_pylist(), cl["cluster_id"].to_pylist()))
+    return _pair_table(
+        (a, a + _DOC_TWIN_OFFSET)
+        for a in range(_DOC_TWIN_N)
+        if a in comp and comp[a] == comp.get(a + _DOC_TWIN_OFFSET)
     )
 
 
@@ -1622,14 +1612,7 @@ def q_embedding_near_dup(sf_dir: str):
         _plant_near_dups, batch_format="pyarrow", batch_size=CONF.batch_size
     )
     out = dedup_mod.embedding_near_dup_pairs(ds, threshold=0.95, config=CONF)
-    rows = out.take_all()  # tiny pair list; keep an explicit schema when empty
-    rows.sort(key=lambda r: (r["a"], r["b"]))
-    return pa.table(
-        {
-            "a": pa.array([r["a"] for r in rows], pa.int64()),
-            "b": pa.array([r["b"] for r in rows], pa.int64()),
-        }
-    )
+    return _pair_table((r["a"], r["b"]) for r in out.take_all())  # tiny pair list
 
 
 def q_part_type_stats(sf_dir: str):
@@ -1746,22 +1729,14 @@ def q_dedup_simhash(sf_dir: str):
     approximate: natural near-dup texts can collide at hamming ≤ 3, which
     no SQL oracle models — so precision is pytest-covered, recall is
     driver-hash-checked.)"""
-    import ray.data as rd
-
     ds = _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         _plant_doc_twins, batch_format="pyarrow", batch_size=CONF.batch_size
     )
     out = dedup_mod.simhash_duplicate_pairs(ds, max_hamming=3, config=CONF)
-    rows = sorted(
-        (int(r["a"]), int(r["b"]))
+    return _pair_table(
+        (r["a"], r["b"])
         for r in out.take_all()
         if r["b"] - r["a"] == _DOC_TWIN_OFFSET and r["a"] < _DOC_TWIN_N
-    )
-    return pa.table(
-        {
-            "a": pa.array([r[0] for r in rows], pa.int64()),
-            "b": pa.array([r[1] for r in rows], pa.int64()),
-        }
     )
 
 
@@ -1790,16 +1765,10 @@ def q_ngram_jaccard(sf_dir: str):
         )
         return b.filter(mask).select(["a", "b"])
 
-    rows = sorted(
-        (int(r["a"]), int(r["b"]))
+    return _pair_table(
+        (r["a"], r["b"])
         for r in out.map_batches(keep_planted, batch_format="pyarrow").take_all()
     )  # ≤ _DOC_TWIN_N rows reach the driver
-    return pa.table(
-        {
-            "a": pa.array([r[0] for r in rows], pa.int64()),
-            "b": pa.array([r[1] for r in rows], pa.int64()),
-        }
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,26 +8,26 @@ Scale shapes (the point of each design):
   numpy run pass per sorted block keeps each run's first row, and the runs
   at block edges merge on the driver — a hot text spans blocks instead of
   pinning one reducer. ``distinct_pairs`` is the same pass on (a, b).
-- **minhash-lsh**: per-batch shingle→signature (numpy, one matmul-free
-  min-reduce per permutation), explode to (band, band_hash, doc_id) rows —
-  a narrow table — and ``groupby(band, band_hash)`` so only colliding docs
-  meet. Verification is a second distributed pass: broadcast the (small)
-  candidate-pair index, emit per-candidate shingle sets, join per pair via
-  ``groupby(pair_id)`` — no whole-corpus driver structure at any point.
-- **simhash**: 64-bit signature per doc; band the 64 bits into 4×16-bit
-  keys → groupby → verify Hamming distance ≤ k (catches all pairs with
-  ≤3-bit difference by pigeonhole when k ≤ 3).
-- **ngram-jaccard**: exact pairwise Jaccard within small candidate groups
-  (here: per ``source`` group; in production: within LSH buckets only).
-- **embedding near-dup**: coarse-quantizer (k-means) multi-probe bucketing
-  → per-bucket O(m²) matmul; only centroids are broadcast, comparisons stay
-  within buckets — never an all-pairs pass or a corpus broadcast.
+- **near-duplicate pairs**: explode to bucket rows, then ONE blocked-pair
+  pass (:func:`bucket_pairs`): a bucket's distinct ids pair all-with-all up
+  to a cap, past it each with its next ``window`` rows in an order that
+  puts near-identical rows together; a small kernel scores the pairs.
+
+  - minhash-lsh: signature bands → (band, band_hash), no score, chain in
+    full-signature order; exact Jaccard verification is a second
+    distributed pass (broadcast candidate index, batched shingle join).
+  - simhash: 4×16-bit bands → (band, key), Hamming ≤ k (every ≤ 3-bit
+    pair by pigeonhole), chain in simhash order.
+  - ngram: rows keyed by a group column, exact Jaccard, no cap.
+  - embedding: k-means multi-probe → bucket, cosine ≥ threshold, window
+    of 64 in mean-projection order.
+
+  The three banded operators end in ``distinct_pairs``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 
 import numpy as np
 import pyarrow as pa
@@ -170,6 +170,47 @@ def incremental_exact_dedup(
     return dd.map_batches(keep_new, batch_format="pyarrow")
 
 
+# -- blocked pairs -----------------------------------------------------------
+
+
+def bucket_pairs(ds, keys, *, id_col: str, cap: int | None, score=None, order=None,
+                 window: int = 1):
+    """The blocked-pair pass under every near-duplicate operator: ONE
+    ``groupby(keys)``, each bucket paired in one numpy pass → (a, b, score
+    columns) with ``a < b``.
+
+    The first row of each distinct ``id_col`` per bucket takes part. Up to
+    ``cap`` distinct ids (``None``: no limit) pair all-with-all; past it — a
+    degenerate bucket, e.g. boilerplate-identical docs — rows sort by
+    ``order(rows)`` (then id) and each pairs with its next ``window`` rows:
+    O(m·window) pairs instead of O(m²). ``order`` puts near-identical rows
+    together, so a duplicate cluster stays connected for
+    :func:`duplicate_clusters` and only links between sub-groups can fail
+    verification. ``score(rows, i, j)`` gets the pairs as row indices and
+    returns ``(keep mask or None, {column: values})``."""
+
+    def pairs(g: pa.Table) -> pa.Table:
+        ids, first = np.unique(
+            g[id_col].to_numpy(zero_copy_only=False).astype(np.int64), return_index=True
+        )
+        rows = g.take(pa.array(first))
+        m = len(ids)
+        if cap is None or m <= cap:
+            i, j = np.triu_indices(m, k=1)
+        else:
+            o = np.lexsort((ids, order(rows)))
+            step = np.arange(1, window + 1)
+            s, t = np.nonzero(np.arange(m)[:, None] + step < m)
+            i, j = o[s], o[s + step[t]]
+        keep, cols = score(rows, i, j) if score else (None, {})
+        if keep is not None:
+            i, j, cols = i[keep], j[keep], {c: v[keep] for c, v in cols.items()}
+        a, b = ids[i], ids[j]
+        return pa.table({"a": np.minimum(a, b), "b": np.maximum(a, b), **cols})
+
+    return ds.groupby(keys).map_groups(pairs, batch_format="pyarrow")
+
+
 # -- shingles / minhash ------------------------------------------------------
 
 
@@ -192,16 +233,6 @@ def _perm_params(num_perm: int, seed: int = 7) -> tuple[np.ndarray, np.ndarray]:
     a = rng.integers(1, (1 << 61) - 1, num_perm, dtype=np.uint64)
     b = rng.integers(0, (1 << 61) - 1, num_perm, dtype=np.uint64)
     return a, b
-
-
-def minhash_signature(shingles: set[int], a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if not shingles:
-        return np.full(len(a), (1 << 61) - 1, dtype=np.uint64)
-    x = np.fromiter(shingles, dtype=np.uint64, count=len(shingles))
-    # (P, S) via broadcasting; reduce min over shingles.  uint64 mul wraps —
-    # use the Mersenne-prime trick on 61-bit values (standard MinHash perm).
-    sig = ((a[:, None] * (x[None, :] % _MERSENNE)) + b[:, None]) % _MERSENNE
-    return sig.min(axis=1)
 
 
 class MinHasher:
@@ -279,10 +310,6 @@ class MinHasher:
         counts = np.bincount(all_rows, minlength=n) if len(all_rows) else np.zeros(n, np.int64)
         return all_grams[order], np.r_[0, np.cumsum(counts)]
 
-    def signature(self, text: str) -> np.ndarray:
-        grams, _ = self._token_gram_hashes(pa.array([text], pa.string()))
-        return minhash_signature(set(int(g) for g in grams), self.a, self.b)
-
     def __call__(self, batch: pa.Table) -> pa.Table:
         ids = batch[self.id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         text = batch[self.text_col]
@@ -304,7 +331,7 @@ class MinHasher:
         for bnd in range(bands):
             for r in range(rpb):
                 band_hash[bnd] = (band_hash[bnd] * _FP_BASE_MH + sig[bnd * rpb + r]) % _MERSENNE
-        # FULL-signature fingerprint: lets degenerate-bucket chaining keep
+        # FULL-signature fingerprint: the over-cap chain order, which keeps
         # identical-signature sub-groups contiguous (see bucket_pairs)
         full = np.zeros(n, dtype=np.uint64)
         for r in range(len(self.a)):
@@ -360,8 +387,9 @@ def minhash_duplicate_pairs(
     Three fully-distributed stages — NO whole-corpus driver structure:
 
     1. signatures → banded (band, band_hash, doc_id) rows (actor pool).
-    2. candidate pairs: ``groupby(band, band_hash)`` pair expansion in
-       buckets that are small by construction; distinct via a pair groupby.
+    2. candidate pairs: :func:`bucket_pairs` over (band, band_hash) —
+       buckets small by construction, an over-cap one chained in
+       FULL-signature order — then :func:`distinct_pairs`.
     3. exact verification WITHOUT shipping texts: only the candidate-pair
        list (the LSH output — orders of magnitude smaller than the corpus)
        is broadcast as an id→pairs index; a second streaming pass over the
@@ -373,8 +401,6 @@ def minhash_duplicate_pairs(
 
     ``verify=False`` returns signature-level candidates (jaccard = -1).
     """
-    import ray
-
     hasher_kw = dict(
         num_perm=num_perm, bands=bands, shingle_k=shingle_k,
         text_col=text_col, id_col=id_col,
@@ -387,33 +413,10 @@ def minhash_duplicate_pairs(
         concurrency=config.rewrite_concurrency,
     )
 
-    bucket_cap = config.lsh_bucket_cap
-
-    def bucket_pairs(g: pa.Table) -> pa.Table:
-        # vectorized: distinct ids via np.unique, all-pairs via triu_indices
-        # (bounded by bucket_cap²), no per-bucket Python loop
-        ids = g["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        uniq, first = np.unique(ids, return_index=True)
-        m = len(uniq)
-        if m > bucket_cap:
-            # degenerate bucket (e.g. boilerplate-identical docs): emit a
-            # CHAIN — m-1 pairs keep each duplicate cluster connected for
-            # duplicate_clusters() without the O(m^2) blowup. Chain in
-            # FULL-signature order so identical-signature sub-groups stay
-            # contiguous: when a band-hash collision mixes distinct
-            # duplicate groups in one bucket, only the boundary pair
-            # between sub-groups can fail verification instead of chain
-            # links threading through foreign groups (round-3 advice).
-            sig = g["sig_hash"].to_numpy(zero_copy_only=False)[first]
-            order = np.lexsort((uniq, sig))
-            o = uniq[order]
-            a, b = np.minimum(o[:-1], o[1:]), np.maximum(o[:-1], o[1:])
-        else:
-            iu, ju = np.triu_indices(m, k=1)
-            a, b = uniq[iu], uniq[ju]  # uniq ascending → a < b already
-        return pa.table({"a": pa.array(a, pa.int64()), "b": pa.array(b, pa.int64())})
-
-    cand = sig_ds.groupby(["band", "band_hash"]).map_groups(bucket_pairs, batch_format="pyarrow")
+    cand = bucket_pairs(
+        sig_ds, ["band", "band_hash"], id_col="doc_id", cap=config.lsh_bucket_cap,
+        order=lambda rows: rows["sig_hash"].to_numpy(),
+    )
     cand = distinct_pairs(cand, config=config)
 
     if not verify:
@@ -608,19 +611,6 @@ def verify_candidate_pairs(
 # -- simhash -----------------------------------------------------------------
 
 
-def simhash64(tokens: list[str]) -> int:
-    """Single-doc reference implementation (tests/debug); the batch path is
-    the vectorized ``add_simhash`` below."""
-    if not tokens:
-        return 0
-    import polars as pl
-
-    hs = pl.Series(tokens).hash(seed=0).to_numpy().astype(np.uint64)
-    bits = ((hs[:, None] >> np.arange(64, dtype=np.uint64)[None, :]) & np.uint64(1)).astype(np.int64)
-    votes = (2 * bits - 1).sum(axis=0)
-    return int(((votes > 0).astype(np.uint64) << np.arange(64, dtype=np.uint64)).sum())
-
-
 def add_simhash(batch: pa.Table, *, text_col: str = "text", out_col: str = "simhash") -> pa.Table:
     """Vectorized batch simhash: ONE polars hash over the flattened token
     child array, then 64 per-bit cumsum reductions over the list offsets —
@@ -647,8 +637,8 @@ def add_simhash(batch: pa.Table, *, text_col: str = "text", out_col: str = "simh
             ones = cs[hi] - cs[lo]           # tokens voting 1 per row
             votes = 2 * ones - lens          # (+1/-1 votes summed)
             out |= (votes > 0).astype(np.uint64) << np.uint64(b)
-        # whitespace-only/empty docs hash to 0, matching simhash64([]) —
-        # Arrow's split of "" yields [""] where Python's .split() yields []
+        # whitespace-only/empty docs hash to 0 — Arrow's split of "" yields
+        # [""] where Python's .split() yields []
         empty = _pc.equal(
             _pc.utf8_length(_pc.utf8_trim_whitespace(_pc.fill_null(text, ""))), 0
         ).to_numpy(zero_copy_only=False)
@@ -658,7 +648,8 @@ def add_simhash(batch: pa.Table, *, text_col: str = "text", out_col: str = "simh
 
 def simhash_duplicate_pairs(ds, *, max_hamming: int = 3, id_col: str = "doc_id",
                             text_col: str = "text", config: EngineConfig = DEFAULT):
-    """4×16-bit band blocking + Hamming verification → (a, b, hamming)."""
+    """4×16-bit band blocking + Hamming verification → (a, b, hamming); an
+    over-cap bucket chains in FULL-simhash order."""
     ds = ds.map_batches(
         add_simhash, fn_kwargs=dict(text_col=text_col), batch_format="pyarrow",
         batch_size=config.batch_size,
@@ -682,35 +673,18 @@ def simhash_duplicate_pairs(ds, *, max_hamming: int = 3, id_col: str = "doc_id",
 
     ex = ds.map_batches(explode, batch_format="pyarrow", batch_size=config.batch_size)
 
-    mh = max_hamming
-    bucket_cap = config.lsh_bucket_cap
+    def sim(rows: pa.Table) -> np.ndarray:
+        return rows["sim"].to_numpy().view(np.uint64)
 
-    def bucket_pairs(g: pa.Table) -> pa.Table:
-        # vectorized: distinct ids via np.unique, pair XOR + SWAR popcount
-        # over the whole candidate set at once — no per-bucket Python loop
-        ids = g["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        sims = g["sim"].to_numpy(zero_copy_only=False).view(np.uint64)
-        uniq, first = np.unique(ids, return_index=True)
-        s = sims[first]
-        m = len(uniq)
-        if m > bucket_cap:
-            # degenerate-bucket guard: chain instead of all-pairs, in FULL-
-            # simhash order so identical-signature sub-groups stay
-            # contiguous (see the MinHash chain note above)
-            order = np.lexsort((uniq, s))
-            u, ss = uniq[order], s[order]
-            a, b, x = u[:-1], u[1:], ss[:-1] ^ ss[1:]
-        else:
-            iu, ju = np.triu_indices(m, k=1)
-            a, b, x = uniq[iu], uniq[ju], s[iu] ^ s[ju]
-        d = _popcount64(x)
-        keep = d <= mh
-        a, b, d = a[keep], b[keep], d[keep]
-        return pa.table({"a": pa.array(np.minimum(a, b), pa.int64()),
-                         "b": pa.array(np.maximum(a, b), pa.int64()),
-                         "hamming": pa.array(d.astype(np.int32), pa.int32())})
+    def hamming(rows: pa.Table, i: np.ndarray, j: np.ndarray):
+        s = sim(rows)
+        d = _popcount64(s[i] ^ s[j]).astype(np.int32)
+        return d <= max_hamming, {"hamming": d}
 
-    pairs = ex.groupby(["band", "key"]).map_groups(bucket_pairs, batch_format="pyarrow")
+    pairs = bucket_pairs(
+        ex, ["band", "key"], id_col="doc_id", cap=config.lsh_bucket_cap,
+        score=hamming, order=sim,
+    )
     return distinct_pairs(pairs, config=config)
 
 
@@ -720,43 +694,27 @@ def simhash_duplicate_pairs(ds, *, max_hamming: int = 3, id_col: str = "doc_id",
 def ngram_jaccard_pairs(ds, *, group_col: str | None = "source", threshold: float = 0.5,
                         shingle_k: int = 3, id_col: str = "doc_id", text_col: str = "text",
                         config: EngineConfig = DEFAULT):
-    """Exact pairwise word-k-gram Jaccard.
+    """Exact pairwise word-k-gram Jaccard → (a, b, jaccard).
 
-    ``group_col=None`` is the PRODUCTION shape: candidates come from
-    MinHash-LSH banding (no explicit grouping column, no per-group O(m²)
-    blowup on an unbounded key) and are verified exactly per pair via
-    ``verify_candidate_pairs``. A named ``group_col`` runs exact all-pairs
-    within each (bounded!) group — demo/diagnostic use.
+    ``group_col=None`` is the PRODUCTION shape, exactly
+    :func:`minhash_duplicate_pairs`: MinHash-LSH candidates (no grouping
+    column, no per-group O(m²) blowup on an unbounded key) verified per pair
+    by :func:`verify_candidate_pairs`. A named ``group_col`` runs exact
+    all-pairs within each (bounded!) group — demo/diagnostic use.
     """
     if group_col is None:
-        cand = minhash_duplicate_pairs(
-            ds, threshold=threshold, shingle_k=shingle_k, verify=False,
+        return minhash_duplicate_pairs(
+            ds, threshold=threshold, shingle_k=shingle_k,
             text_col=text_col, id_col=id_col, config=config,
         )
-        return verify_candidate_pairs(
-            ds, cand, threshold=threshold, shingle_k=shingle_k,
-            text_col=text_col, id_col=id_col, config=config,
-        )
-    k, thr = shingle_k, threshold
 
-    def pairwise(g: pa.Table) -> pa.Table:
-        ids = g[id_col].to_pylist()
-        sh = [_word_shingles((t or "").split(), k) for t in g[text_col].to_pylist()]
-        order = np.argsort(ids)
-        out_a, out_b, out_j = [], [], []
-        for ii, jj in itertools.combinations(order, 2):
-            j = jaccard(sh[ii], sh[jj])
-            if j >= thr:
-                a, b = ids[ii], ids[jj]
-                if a > b:
-                    a, b = b, a
-                out_a.append(a)
-                out_b.append(b)
-                out_j.append(j)
-        return pa.table({"a": pa.array(out_a, pa.int64()), "b": pa.array(out_b, pa.int64()),
-                         "jaccard": pa.array(out_j, pa.float64())})
+    def score(rows: pa.Table, i: np.ndarray, j: np.ndarray):
+        sh = [_word_shingles((t or "").split(), shingle_k) for t in rows[text_col].to_pylist()]
+        jac = np.fromiter((jaccard(sh[x], sh[y]) for x, y in zip(i, j)), np.float64, len(i))
+        return jac >= threshold, {"jaccard": jac}
 
-    return ds.groupby(group_col).map_groups(pairwise, batch_format="pyarrow")
+    # each row sits in one group, so no pair repeats: no distinct pass
+    return bucket_pairs(ds, [group_col], id_col=id_col, cap=None, score=score)
 
 
 # -- embedding cosine near-dup ----------------------------------------------
@@ -778,20 +736,20 @@ def embedding_near_dup_pairs(ds, *, threshold: float = 0.95, n_clusters: int = 8
        pairs sit within each other's top-probe sets for any reasonable
        quantizer — exact on such inputs, approximate in the adversarial
        tail, same contract as MinHash-LSH blocking).
-    3. ``groupby(bucket)`` → per-bucket O(m²) matmul where m ≪ N; emit each
-       unordered pair once (deduped across buckets by a final groupby).
+    3. :func:`bucket_pairs` over ``bucket``: all-pairs cosine where m ≪ N;
+       past ``8 × lsh_bucket_cap`` rows a bucket sorts by projection onto
+       its mean direction — near-identical vectors land adjacent — and
+       compares each vector with its next 64 only. Each unordered pair is
+       kept once across shared buckets by :func:`distinct_pairs`.
 
     Shuffle volume: ``probes`` × (id + d floats) per row — linear in corpus,
     independent of pair count; the all-pairs O(N²) comparison never happens.
     """
     from .similarity import kmeans_fit, vec_matrix
 
-    sample = np.asarray(
-        [r[vec_col] for r in ds.limit(sample_rows).take_all()], dtype=np.float64
-    )
-    cent = kmeans_fit(sample, n_clusters)
+    sample = ds.limit(sample_rows).take_batch(sample_rows, batch_format="pyarrow")
+    cent = kmeans_fit(vec_matrix(sample[vec_col]), n_clusters)
     p = min(probes, len(cent))
-    thr = threshold
 
     def explode(batch: pa.Table) -> pa.Table:
         v = vec_matrix(batch[vec_col])
@@ -813,56 +771,23 @@ def embedding_near_dup_pairs(ds, *, threshold: float = 0.95, n_clusters: int = 8
 
     ex = ds.map_batches(explode, batch_format="pyarrow", batch_size=config.batch_size)
 
-    bucket_cap = config.lsh_bucket_cap * 8  # matmul buckets tolerate more
+    def projection(rows: pa.Table) -> np.ndarray:
+        vn = vec_matrix(rows["vn"])
+        return vn @ (vn.mean(axis=0) + 1e-9)
 
-    def bucket_pairs(g: pa.Table) -> pa.Table:
-        from .similarity import vec_matrix
+    def cosine(rows: pa.Table, i: np.ndarray, j: np.ndarray):
+        # gathered in chunks of 65,536 pairs: ~32 MB per side at d = 64
+        vn = vec_matrix(rows["vn"])
+        cos = np.empty(len(i))
+        for s in range(0, len(i), 65_536):
+            e = s + 65_536
+            cos[s:e] = np.einsum("ij,ij->i", vn[i[s:e]], vn[j[s:e]])
+        return cos >= threshold, {"cosine": cos}
 
-        ids = g["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        vn = vec_matrix(g["vn"])
-        # a vector probed into the same bucket twice contributes once
-        uniq, first = np.unique(ids, return_index=True)
-        ids, vn = uniq, vn[first]
-        if len(ids) < 2:
-            return pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
-                             "cosine": pa.array([], pa.float64())})
-        m = len(ids)
-        if m > bucket_cap:
-            # degenerate-bucket guard: O(m*W) windowed comparison instead of
-            # the O(m^2) matmul. Sort by projection onto the bucket's mean
-            # direction — near-identical vectors land adjacent, so a window
-            # of W neighbors catches cos>=thr pairs (the guard trades the
-            # adversarial tail for boundedness, same contract as the LSH
-            # chain guard above).
-            w = 64
-            proj = vn @ (vn.mean(axis=0) + 1e-9)
-            order = np.argsort(proj, kind="stable")
-            ids, vn = ids[order], vn[order]
-            out_a, out_b, out_c = [], [], []
-            for off in range(1, w + 1):
-                if off >= m:
-                    break
-                sims = np.einsum("ij,ij->i", vn[:-off], vn[off:])
-                hit = np.nonzero(sims >= thr)[0]
-                a, b = ids[hit], ids[hit + off]
-                out_a.append(np.minimum(a, b))
-                out_b.append(np.maximum(a, b))
-                out_c.append(sims[hit])
-            return pa.table({
-                "a": pa.array(np.concatenate(out_a) if out_a else np.array([], np.int64)),
-                "b": pa.array(np.concatenate(out_b) if out_b else np.array([], np.int64)),
-                "cosine": pa.array(
-                    np.concatenate(out_c) if out_c else np.array([], np.float64),
-                    pa.float64(),
-                ),
-            })
-        sims = vn @ vn.T
-        r, c = np.nonzero(np.triu(sims >= thr, k=1))
-        a, b = ids[r], ids[c]
-        return pa.table({"a": pa.array(np.minimum(a, b)), "b": pa.array(np.maximum(a, b)),
-                         "cosine": pa.array(sims[r, c], pa.float64())})
-
-    pairs = ex.groupby("bucket").map_groups(bucket_pairs, batch_format="pyarrow")
+    pairs = bucket_pairs(
+        ex, "bucket", id_col="vec_id", cap=config.lsh_bucket_cap * 8,
+        score=cosine, order=projection, window=64,
+    )
     # pairs found in several shared buckets → keep one (vectorized distinct)
     return distinct_pairs(pairs, config=config)
 

@@ -692,3 +692,71 @@ def test_verify_pairs_batched_many(ray_session):
     assert set(got) == set(expect)
     for k, v in expect.items():
         assert abs(got[k] - v) < 1e-12, (k, got[k], v)
+
+
+# (operator, lsh_bucket_cap) -> (rows, digest of the sorted (a, b, metric))
+_PAIRS_PINNED = {
+    ("minhash_cand", 256): (120, "b155ff50a4580912"),
+    ("minhash", 256): (120, "d6be75c4f624b4af"),
+    ("simhash", 256): (122, "284f84c732e1e66b"),
+    ("embedding", 256): (5066, "c891238b353e8725"),
+    ("ngram", 256): (95, "60182dd1d89ba129"),
+    ("minhash_cand", 4): (54, "6558722846a2459d"),
+    ("minhash", 4): (54, "68f6d004cf7a69fc"),
+    ("simhash", 4): (52, "cb79a24f27c4627e"),
+    ("embedding", 4): (4400, "be8c54e404431604"),
+    ("ngram", 4): (95, "60182dd1d89ba129"),
+}
+
+
+def test_pair_operators_pinned(ray_session):
+    """The whole pair output of every near-duplicate operator — at the
+    default bucket cap and at a cap of 4, where the over-cap chain and
+    window paths fire — equals the recorded (rows, digest of the sorted
+    (a, b, metric) rows). The inputs carry the oracle queries' planted
+    twins plus one text copied 12 times and one vector copied 100 times,
+    more than the embedding window of 64, and that vector once more under
+    its own id."""
+    import hashlib
+    import os
+
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from e2e_ocsf_cyber_lakehouse_blueprint_ray.pipelines import queries
+
+    def with_copies(t, id_col, n):
+        # n copies of row 100 under fresh ids, appended after the input
+        hot = t.take(pa.array(np.full(n, 100, np.int64)))
+        ids = pa.array(20_000_000 + np.arange(n, dtype=np.int64))
+        hot = hot.set_column(hot.schema.get_field_index(id_col), id_col, ids)
+        return pa.concat_tables([t, hot])
+
+    sf = os.path.join(os.path.dirname(SF), "sf0.01")  # the sf0.01 fixture beside SF
+    docs = rd.from_arrow(with_copies(
+        queries._plant_doc_twins(pq.read_table(f"{sf}/documents.parquet")), "doc_id", 12
+    ))
+    emb = queries._plant_near_dups(pq.read_table(f"{sf}/embeddings.parquet"))
+    # row 100 once more under its own id: a repeated id pairs with nothing
+    vecs = rd.from_arrow(pa.concat_tables([with_copies(emb, "vec_id", 100), emb.take([100])]))
+    ops = {
+        "minhash_cand": lambda c: dedup.minhash_duplicate_pairs(
+            docs, threshold=0.5, verify=False, config=c),
+        "minhash": lambda c: dedup.minhash_duplicate_pairs(docs, threshold=0.5, config=c),
+        "simhash": lambda c: dedup.simhash_duplicate_pairs(docs, max_hamming=3, config=c),
+        "embedding": lambda c: dedup.embedding_near_dup_pairs(
+            vecs, threshold=0.95, config=c),
+        "ngram": lambda c: dedup.ngram_jaccard_pairs(docs, threshold=0.3, config=c),
+    }
+    got = {}
+    for cap in (CONF.lsh_bucket_cap, 4):
+        conf = dataclasses.replace(CONF, lsh_bucket_cap=cap)
+        for name, op in ops.items():
+            rows = sorted(
+                (r.pop("a"), r.pop("b"), round(r.popitem()[1], 9)) for r in op(conf).take_all()
+            )
+            got[(name, cap)] = (len(rows), hashlib.sha256(str(rows).encode()).hexdigest()[:16])
+    # premise: at cap 4 the over-cap paths change these outputs
+    for name in ("simhash", "embedding"):
+        assert got[(name, 4)] != got[(name, CONF.lsh_bucket_cap)], name
+    assert got == _PAIRS_PINNED
