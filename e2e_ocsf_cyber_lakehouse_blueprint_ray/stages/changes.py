@@ -6,10 +6,11 @@ snapshots as full rows of B's schema labeled ``change ∈ {'added', 'removed'}``
 Writers say what changed. Every commit in (A, B] contributes ``(file, side)``
 items from the change record it stored (``Table.commit``):
 
-    MERGE / DELETE     the change files its rewrite units wrote under
-                       ``_change_data/`` — the rows they dropped ('removed')
-                       and the upserts they appended ('added') — plus
-                       DELETE's contained-drop files as whole-file removals
+    MERGE / DELETE     the change files its units wrote under
+                       ``_change_data/`` — the rows they dropped ('removed'),
+                       whether by deleted positions or a rewrite, and the
+                       upserts they appended ('added') — plus DELETE's
+                       contained-drop files as whole-file removals
     compact / cluster / respec
                        an empty record: they preserve content (the
                        scan-equality contract), so they cost the feed nothing
@@ -18,8 +19,11 @@ items from the change record it stored (``Table.commit``):
                        whole-file diff, removed files side −1 and added
                        files +1 — always correct
 
-Whole-file items net at path level first, so a file added and removed inside
-the range is never read. The records carry row counts, so the feed picks its
+Every item is read through the one live-row reader (``table.read_file``):
+a whole-file item carries its entry's deleted positions, and an entry is
+its (path, positions). Whole-file items net at that level first, so a file
+added and removed inside the range is never read. The records carry row
+counts, so the feed picks its
 path before reading anything: up to ``SUBSET_DRIVER_MAX_ROWS`` rows the files
 are read with pyarrow on the driver and netted in one Arrow group_by; above
 it a two-phase distributed netting (``_distributed_net``) runs over the same
@@ -55,10 +59,9 @@ import os
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 from ..state import manifest
-from ..table import Table, align_to
+from ..table import Table, align_to, read_file, read_files
 from .order import EDGE, fold_sorted
 
 _NET, _HASH, _KEY = "_net", "_h", "_k"
@@ -142,22 +145,25 @@ SUBSET_DRIVER_MAX_ROWS = 500_000
 
 
 def _file_diff(a: pa.Table, b: pa.Table) -> list[list]:
-    """Whole-file change items turning manifest entries ``a`` into ``b``."""
-    in_a, in_b = set(a["path"].to_pylist()), set(b["path"].to_pylist())
+    """Whole-file change items turning manifest entries ``a`` into ``b``.
+    An entry is its (path, deleted positions): a file whose positions
+    changed is removed with the old ones and added with the new."""
+    in_a, in_b = set(manifest.entry_keys(a)), set(manifest.entry_keys(b))
     out = []
     for ents, keep, side in (
         (a, in_a - in_b, manifest.WHOLE_REMOVED),
         (b, in_b - in_a, manifest.WHOLE_ADDED),
     ):
-        rows = ents.select(["path", "rows", "bytes"]).to_pylist()
-        out += manifest.change_items((r for r in rows if r["path"] in keep), side)
+        rows = ents.select(["path", "rows", "bytes", "deleted"]).to_pylist()
+        keys = manifest.entry_keys(ents)
+        out += manifest.change_items((r for r, k in zip(rows, keys) if k in keep), side)
     return out
 
 
 def change_files(table: Table, from_id: int, to_id: int) -> list[list]:
-    """``[path, side, rows, bytes]`` items whose rows, signed by ``side``
-    (``manifest.CHANGE_FILE`` = per-row ``change`` column), sum to the
-    content of ``to_id`` minus that of ``from_id``."""
+    """``[path, side, rows, bytes, deleted]`` items whose live rows, signed
+    by ``side`` (``manifest.CHANGE_FILE`` = per-row ``change`` column), sum
+    to the content of ``to_id`` minus that of ``from_id``."""
     ids = set(manifest.list_snapshot_ids(table.dir))
     for sid in (from_id, to_id):
         if sid not in ids:
@@ -170,7 +176,7 @@ def change_files(table: Table, from_id: int, to_id: int) -> list[list]:
         # a reversed range or an expired snapshot inside it: diff the ends
         return _file_diff(table.entries(from_id), table.entries(to_id))
     cdf: list[list] = []
-    whole: dict[str, list] = {}
+    whole: dict[tuple, list] = {}
     prev = None  # entries of the previous snapshot, when already read
     for sid in walk:
         rec = manifest.change_record(table.dir, sid)
@@ -180,11 +186,13 @@ def change_files(table: Table, from_id: int, to_id: int) -> list[list]:
             prev = cur
         else:
             prev = None
-        for path, side, rows, nbytes in rec:
+        for path, side, rows, nbytes, *dv in rec:
+            deleted = dv[0] if dv else []  # records older than deletion vectors
             if side == manifest.CHANGE_FILE:
-                cdf.append([path, side, rows, nbytes])
+                cdf.append([path, side, rows, nbytes, deleted])
             else:
-                whole.setdefault(path, [path, 0, rows, nbytes])[1] += side
+                key = (path, tuple(deleted))
+                whole.setdefault(key, [path, 0, rows, nbytes, deleted])[1] += side
     return cdf + [w for w in whole.values() if w[1]]
 
 
@@ -198,7 +206,7 @@ def snapshot_changes(table: Table, from_id: int, to_id: int):
     out_schema = schema.append(pa.field("change", pa.string()))
     if not items:
         return rd.from_arrow(out_schema.empty_table())
-    if sum(rows for _p, _s, rows, _b in items) <= SUBSET_DRIVER_MAX_ROWS:
+    if sum(it[2] for it in items) <= SUBSET_DRIVER_MAX_ROWS:
         return rd.from_arrow(_driver_net(table, items, schema).cast(out_schema))
     return _distributed_net(table, items, schema)
 
@@ -207,8 +215,8 @@ def _driver_net(table: Table, items: list[list], schema: pa.Schema) -> pa.Table:
     """Read the change items with pyarrow and net them in one group_by."""
     cols = list(schema.names)
     parts = []
-    for path, side, _rows, _bytes in items:
-        b = pq.read_table(os.path.join(table.dir, path))
+    for path, side, _rows, _bytes, deleted in items:
+        b = read_file(os.path.join(table.dir, path), deleted=deleted)
         # under the target schema a carried pre-evolution row nets to zero
         parts.append(align_to(b, schema).append_column(_NET, pa.array(_signs(b, side))))
     t = pa.concat_tables(parts).combine_chunks()
@@ -245,29 +253,27 @@ def _distributed_net(table: Table, items: list[list], schema: pa.Schema):
         return h1, h2
 
     def _sides(fn_factory):
-        # Pin the target snapshot's schema on every read (change files also
-        # carry ``change``): a path set can mix pre- and post-evolution
-        # files, and pyarrow.dataset otherwise infers the read schema from
-        # one sampled fragment — a pre-evolution sample would silently drop
-        # evolved columns, so carried rows fail to cancel. With the pin,
-        # missing columns null-fill per fragment and align_to is a cheap
-        # no-op.
+        # every file's live rows, aligned to the target snapshot's schema
+        # (change files keep their ``change`` column): a path set can mix
+        # pre- and post-evolution files, and carried rows must compare under
+        # one schema to cancel
         sides = []
         for side_val, its in sorted(groups.items()):
-            # size the read's block count from the bytes, not Ray's
-            # min-200-blocks default: a few hundred SMALL files would each
-            # become their own read task — pure per-task overhead
-            # (zstd ≈ 3× expansion est.)
+            # size the read's task count from the bytes, not Ray's
+            # 200-task default: a few hundred SMALL files would each become
+            # their own read task — pure per-task overhead (zstd ≈ 3×
+            # expansion est.)
             side_bytes = sum(it[3] for it in its)
             n_blocks = max(
                 table.config.rewrite_concurrency,
                 min(4096, -(-(side_bytes * 3) // table.config.target_file_bytes)),
             )
             sides.append(
-                rd.read_parquet(
-                    [os.path.join(table.dir, it[0]) for it in its],
-                    schema=out_schema if side_val == manifest.CHANGE_FILE else schema,
-                    override_num_blocks=min(n_blocks, len(its) * 4),
+                read_files(
+                    table.dir,
+                    [(it[0], it[4]) for it in its],
+                    out_schema if side_val == manifest.CHANGE_FILE else schema,
+                    num_blocks=n_blocks,
                 ).map_batches(fn_factory(side_val), batch_format="pyarrow")
             )
         return sides[0].union(*sides[1:]) if len(sides) > 1 else sides[0]

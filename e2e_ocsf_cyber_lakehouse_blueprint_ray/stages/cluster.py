@@ -127,16 +127,17 @@ def _num_ranges(mode: str, nbytes: int, cap: int) -> int:
 
 
 def _range_bounds(
-    table_dir: str, paths: list[str], rows: int, k: int, target: pa.Schema, key
+    table_dir: str, files: list[tuple[str, list]], rows: int, k: int, target: pa.Schema, key
 ) -> list[int]:
-    """The k - 1 key boundaries that cut a partition of ``rows`` rows into k
-    ranges of about equal rows: quantiles of the cluster key over a
-    fixed-stride sample of its files' rows in path order, read from the
-    cluster columns (``target``) only; the same input cuts at the same keys."""
+    """The k - 1 key boundaries that cut a partition of ``rows`` live rows
+    into k ranges of about equal rows: quantiles of the cluster key over a
+    fixed-stride sample of the live rows of its ``files`` ((path, deleted
+    positions), in path order), read from the cluster columns (``target``)
+    only; the same input cuts at the same keys."""
     stride = max(1, rows // (k * _SAMPLE_PER_RANGE))
     picks, off = [], 0
-    for p in paths:
-        t = align_to(read_file(os.path.join(table_dir, p), target.names), target)
+    for p, deleted in files:
+        t = align_to(read_file(os.path.join(table_dir, p), target.names, deleted), target)
         picks.append(t.take(pa.array(np.arange(-off % stride, t.num_rows, stride))))
         off += t.num_rows
     keys = np.sort(key(pa.concat_tables(picks)))
@@ -189,7 +190,7 @@ def cluster(
     key = functools.partial(cluster_key, cols=cols, ranges=ranges, curve=curve)
 
     cap = table.config.partition_sort_max_bytes
-    by_path = {r["path"]: r for r in ents.select(["path", "partition", "rows", "bytes"]).to_pylist()}
+    by_path = rewrite.entries_by_path(ents)
     parts: dict[str, list[str]] = {}
     for r in by_path.values():
         parts.setdefault(r["partition"], []).append(r["path"])
@@ -210,7 +211,8 @@ def cluster(
         target = pa.schema([sch.field(c) for c in cols])
         scatter = []
         for p, k in split.items():
-            bounds = json.dumps(_range_bounds(table.dir, sorted(parts[p]), size[p][0], k, target, key))
+            files = [(f, by_path[f]["deleted"]) for f in sorted(parts[p])]
+            bounds = json.dumps(_range_bounds(table.dir, files, size[p][0], k, target, key))
             scatter += [
                 dict(rewrite.make_bin(g, p, by_path, bounds), bounds_json=bounds)
                 for g in rewrite.pack_bins(parts[p], by_path, cap)

@@ -30,9 +30,7 @@ def plan_compaction(
     only, and single-file bins are skipped (nothing to gain). ``partitions``
     scopes the plan to named partitions (the OPTIMIZE WHERE analog: maintain
     a hot slice without touching the rest of a 10^12-row table)."""
-    by_path = {
-        r["path"]: r for r in ents.select(["path", "partition", "rows", "bytes"]).to_pylist()
-    }
+    by_path = rewrite.entries_by_path(ents)
     threshold = cfg.small_file_fraction * cfg.target_file_bytes
     small: dict[str, list[str]] = {}
     for r in by_path.values():

@@ -1,11 +1,10 @@
-"""Row-level DELETE WHERE — copy-on-write with stats-driven file skipping.
+"""Row-level DELETE WHERE — stats-driven file skipping, deletion vectors.
 
 Reference analog: Delta row-level DML the reference enables via table flags
 (``delta.enableDeletionVectors`` / DML feature flags,
 /root/reference/transformations/mappings/ocsf/iam/gold_github_audit_logs.py:36-37,
-utilities/utils.py:90-95). We implement the copy-on-write form (no deletion
-vectors): for ``DELETE WHERE lo <= col <= hi`` the manifest stats partition
-the live files into three classes —
+utilities/utils.py:90-95). For ``DELETE WHERE lo <= col <= hi`` the
+manifest stats partition the live files into three classes —
 
     disjoint   (max < lo or min > hi)          → untouched, zero IO
     contained  (lo <= min, max <= hi, 0 nulls) → DROPPED from the manifest
@@ -13,10 +12,14 @@ the live files into three classes —
                                                  file-level fast path that
                                                  makes retention deletes on a
                                                  time-clustered table O(files)
-    straddling (everything else / no stats)    → rewritten without matching
-                                                 rows via the shared bin
+    straddling (everything else / no stats)    → read by the shared bin
                                                  machinery (byte-capped bins,
-                                                 lineage resume, LPT order)
+                                                 lineage resume, LPT order),
+                                                 where each file takes
+                                                 MERGE's rule: untouched,
+                                                 deleted positions recorded,
+                                                 folded past the cap, or
+                                                 removed when emptied
 
 The classes are masks over the column's bounds (``manifest.col_bounds``).
 Timestamp columns compare as int64 µs — the exact representation the
@@ -50,7 +53,7 @@ def delete_where(
     """
     parent = table.current_snapshot_id()
     ents, meta = table.snapshot(parent)
-    by_path = {r["path"]: r for r in ents.select(["path", "rows", "bytes"]).to_pylist()}
+    by_path = rewrite.entries_by_path(ents)
 
     # an unknown bound (no stats) is neither disjoint nor contained: rewritten
     cmin, cmax, nulls = manifest.col_bounds(ents, col)
@@ -73,9 +76,7 @@ def delete_where(
     params = f"delete:{col}:{lo}:{hi}"
     bin_cap = max(table.config.target_file_bytes, 1)
     units: list[dict] = []
-    rewritten: list[str] = []
     for part in sorted(straddling):
-        rewritten.extend(sorted(straddling[part]))
         units.extend(
             rewrite.make_bin(b, part, by_path, params=params)
             for b in rewrite.pack_bins(straddling[part], by_path, bin_cap)
@@ -85,7 +86,7 @@ def delete_where(
         return parent  # nothing matches: no new snapshot
 
     job_id = lineage.job_id_for("delete", parent, params)
-    added = rewrite.run_bins(
+    out = rewrite.run_bins(
         table,
         units,
         job_id,
@@ -96,12 +97,13 @@ def delete_where(
         delete_range=(col, lo, hi),
         fail_after=fail_after,
     )
-    added, changes = rewrite.split_changes(added)
-    # contained files leave whole: the change record names them as removed
+    added, removed, changes = rewrite.dml_entries(ents, units, out)
+    # contained files leave whole: the change record names them (with their
+    # deleted positions) as removed
     changes += manifest.change_items((by_path[p] for p in dropped), manifest.WHOLE_REMOVED)
     return table.commit(
         added=added if added.num_rows else None,
-        removed=dropped + rewritten,
+        removed=dropped + removed,
         operation="delete",
         expected_parent=parent,
         use_actor=use_actor,

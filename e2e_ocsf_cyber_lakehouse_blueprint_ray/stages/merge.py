@@ -1,4 +1,4 @@
-"""Copy-on-write MERGE INTO.
+"""MERGE INTO with deletion vectors, copy-on-write past a cap.
 
 The reference has NO joins ("No JOINs needed - it's one unified table!",
 /root/reference/_resources/PIPELINE_OVERVIEW.md:311); its hook for selective
@@ -8,13 +8,27 @@ utilities/utils.py:90-95). This module supplies the real thing: MERGE INTO a
 transcript table keyed on (conv_id, turn_idx) with upsert/delete semantics —
 
     survivors = target ANTI JOIN source-keys        (per touched file)
-    result    = survivors ∪ source[op != 'delete']  (per partition, sorted)
+    result    = survivors ∪ source[op != 'delete']  (per partition)
 
-Copy-on-write: only files whose manifest (conv_id min/max) stats overlap the
-source keys of their partition are rewritten; untouched files carry over to
-the new snapshot untouched. Each rewrite unit also writes a change file of
-the rows it dropped and appended, which the commit's change record names for
-the change feed (stages/changes.py).
+Only files whose manifest (conv_id min/max) stats overlap the source keys of
+their partition are read; the others carry over untouched. A unit then
+decides file by file (``rewrite.BinRewriter._dml_unit``), with Delta's
+merge-on-read deletion vectors:
+
+    no row matched            the file stays as it is
+    no live row left          the file is removed, nothing written
+    old + new positions ≤ 64  the matched rows' physical positions go in the
+                              file's manifest entry (``deleted``); the file
+                              is not written (``manifest.DV_MAX_POSITIONS``)
+    more                      the file is folded: its survivors are
+                              rewritten sorted on (conv_id, turn_idx)
+
+The partition's upserts join a fold's output when its first unit has one,
+else they are one small file sorted on (conv_id, turn_idx). So a churn-sized
+MERGE writes one small file per touched partition, and a bulk one (FIXTURES
+§2, ~280 matches per file) rewrites what it touches as before. Each unit
+also writes a change file of the rows it dropped and appended, which the
+commit's change record names for the change feed (stages/changes.py).
 
 Scale shape: the SOURCE side of a MERGE is small relative to the target
 (edits/inserts, not the 10^12-row table), so it is split by the target's
@@ -83,7 +97,7 @@ def merge(
     extra: dict | None = None,
     _skip_chunking: bool = False,
 ) -> int:
-    """Apply a MERGE source (transcript columns + ``op``) copy-on-write.
+    """Apply a MERGE source (transcript columns + ``op``).
 
     op semantics: "update"/"insert" upsert the row; "delete" removes the
     matched key. Returns the new snapshot id.
@@ -109,7 +123,7 @@ def merge(
         return merge_chunked(
             table, source, concurrency=concurrency, use_actor=use_actor
         )
-    by_path = {r["path"]: r for r in ents.select(["path", "rows", "bytes"]).to_pylist()}
+    by_path = rewrite.entries_by_path(ents)
 
     delete_keys: dict[str, pa.Table] = {}
     extra_rows: dict[str, bytes] = {}
@@ -140,7 +154,6 @@ def merge(
     # per-file anti-join is correct because a key lives in exactly the files
     # whose stats cover it, and they are all in some bin.
     units: list[dict] = []
-    removed: list[str] = []
     params = _source_hash(source)
     bin_cap = max(table.config.target_file_bytes, 1)
     parts = sorted(conv_ranges)
@@ -158,7 +171,6 @@ def merge(
         touched_by_part.setdefault(part, []).append(path)
     for part in parts:
         touched = sorted(touched_by_part.get(part, ()))
-        removed.extend(touched)
         if not touched:
             unit = rewrite.make_bin([], part, by_path, params=params)
             unit["unit_id"] = lineage.unit_id([f"<empty:{part}>"], params)
@@ -175,7 +187,7 @@ def merge(
     # rewrite task only fetches its own partition's keys/upserts
     dk_ref = ray.put({p: ray.put(v) for p, v in delete_keys.items()})
     ex_ref = ray.put({p: ray.put(v) for p, v in extra_rows.items()})
-    added = rewrite.run_bins(
+    out = rewrite.run_bins(
         table,
         units,
         job_id,
@@ -187,7 +199,7 @@ def merge(
         delete_keys_ref=dk_ref,
         fail_after=fail_after,
     )
-    added, changes = rewrite.split_changes(added)
+    added, removed, changes = rewrite.dml_entries(ents, units, out)
     return table.commit(
         added=added,
         removed=removed,

@@ -62,14 +62,53 @@ def _write_parquet_atomic(table: pa.Table, path: str, level: int = 3) -> int:
     return os.path.getsize(path)
 
 
-def read_file(path: str, columns: list[str] | None = None) -> pa.Table:
-    """The engine's one data-file reader: one Parquet file, whole or the
-    ``columns`` it has (a column the file lacks is left out; ``align_to``
-    null-fills it). ``ParquetFile.read`` skips the dataset layer that
-    ``pq.read_table`` builds per call: reading 2 columns of 440 small gold
-    files took 0.32 s of CPU against 0.97 s (one Xeon core, best of 5)."""
+def read_file(
+    path: str, columns: list[str] | None = None, deleted: list[int] | None = None
+) -> pa.Table:
+    """The engine's one data-file reader, and so its one live-row reader:
+    one Parquet file, whole or the ``columns`` it has (a column the file
+    lacks is left out; ``align_to`` null-fills it), without the rows at the
+    ``deleted`` positions of its manifest entry (sorted). Those are dropped
+    as zero-copy slices of the runs between them, not a filter copy.
+    ``ParquetFile.read`` skips the dataset layer that ``pq.read_table``
+    builds per call: reading 2 columns of 440 small gold files took 0.32 s
+    of CPU against 0.97 s (one Xeon core, best of 5)."""
     with pq.ParquetFile(path) as f:
-        return f.read(columns=columns)
+        t = f.read(columns=columns)
+    if deleted is None or len(deleted) == 0:
+        return t
+    d = np.asarray(deleted, np.int64)
+    runs = zip(np.r_[0, d + 1], np.r_[d, t.num_rows])
+    return pa.concat_tables([t.slice(0, 0)] + [t.slice(a, b - a) for a, b in runs if b > a])
+
+
+def read_files(
+    table_dir: str,
+    files: list,
+    target: pa.Schema,
+    columns: list[str] | None = None,
+    num_blocks: int = 200,
+):
+    """Lazy Ray Dataset of the live rows of ``files``, (table-relative
+    path, deleted positions) pairs, each read with ``read_file`` and
+    aligned to ``target`` (the snapshot schema, projected to ``columns``):
+    the distributed form of ``Table.read_arrow``. The files are spread over
+    at most ``num_blocks`` read tasks (default: Ray's read parallelism)."""
+    import ray.data as rd
+
+    if not files:
+        return rd.from_arrow(target.empty_table())
+    items = [{"path": p, "deleted": list(d or ())} for p, d in files]
+
+    def read(batch: pa.Table) -> pa.Table:
+        return pa.concat_tables(
+            align_to(read_file(os.path.join(table_dir, r["path"]), columns, r["deleted"]), target)
+            for r in batch.to_pylist()
+        )
+
+    return rd.from_items(items, override_num_blocks=min(len(items), num_blocks)).map_batches(
+        read, batch_format="pyarrow", batch_size=None
+    )
 
 
 def spec_partition_codes(spec: str, batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
@@ -277,16 +316,17 @@ class Table:
 
     def _pruned_files(
         self, predicates, partitions, snapshot_id, columns, snapshot=None
-    ) -> tuple[list[str], pa.Schema]:
-        """(sorted absolute paths of the pruned live files, the snapshot
-        schema projected to ``columns``) from ONE snapshot read, or none
-        when the caller passes the ``snapshot`` it holds."""
+    ) -> tuple[list[tuple[str, tuple]], pa.Schema]:
+        """((path, deleted positions) of the pruned live files in path
+        order, the snapshot schema projected to ``columns``) from ONE
+        snapshot read, or none when the caller passes the ``snapshot`` it
+        holds."""
         ents, meta = snapshot or self.snapshot(snapshot_id)
         ents = _prune(ents, predicates, partitions)
         sch = meta["schema"]
         if columns is not None:
             sch = pa.schema([sch.field(c) for c in columns])
-        return [os.path.join(self.dir, p) for p in sorted(ents["path"].to_pylist())], sch
+        return sorted(manifest.entry_keys(ents)), sch
 
     def scan(
         self,
@@ -297,35 +337,14 @@ class Table:
         snapshot_id: int | None = None,
         snapshot: tuple[pa.Table, dict] | None = None,
     ):
-        """Lazy Ray Dataset over the (pruned) live files of a snapshot —
-        the analog of ``spark.readStream.table(name)``
+        """Lazy Ray Dataset over the live rows of the (pruned) live files of
+        a snapshot — the analog of ``spark.readStream.table(name)``
         (silver_github_audit_logs.py:27-28). ``snapshot``: the (entries,
-        meta) an op already read, scanned instead of ``snapshot_id``."""
-        import ray.data as rd
-
-        paths, sch = self._pruned_files(predicates, partitions, snapshot_id, columns, snapshot)
-        if not paths:
-            return rd.from_arrow(sch.empty_table())
-        # Partition values are manifest metadata here, not hive columns; data
-        # dirs deliberately contain no "=" so the reader's hive inference is
-        # inert. (Ray 2.49.2 raises UnboundLocalError when partitioning=None
-        # is combined with an explicit column list, so only disable inference
-        # on full-schema scans.)
-        if not any(pa.types.is_nested(f.type) for f in sch):
-            kw = {"partitioning": None} if columns is None else {}
-            # pin the (projected) snapshot schema so evolved columns survive
-            # whatever file the reader samples first: pyarrow.dataset infers
-            # from one fragment, and a pre-evolution fragment would silently
-            # DROP columns newer files carry (pre-evolution files null-fill)
-            return rd.read_parquet(paths, columns=columns, schema=sch, **kw)
-        # A pinned schema cannot cast a pre-evolution struct<a> to the
-        # snapshot's struct<a,b>, and a projected read of a file lacking a
-        # column raises: read whole files in their own schemas and align
-        # (and project) each block instead.
-        ds = rd.read_parquet(paths, partitioning=None)
-        return ds.map_batches(
-            align_to, fn_kwargs={"target": sch}, batch_format="pyarrow", batch_size=None
-        )
+        meta) an op already read, scanned instead of ``snapshot_id``. Every
+        file goes through ``read_file`` and ``align_to``, so pre-evolution
+        files null-fill evolved columns and subfields."""
+        files, sch = self._pruned_files(predicates, partitions, snapshot_id, columns, snapshot)
+        return read_files(self.dir, files, sch, columns)
 
     def read_arrow(
         self,
@@ -335,11 +354,11 @@ class Table:
         snapshot_id: int | None = None,
     ) -> pa.Table:
         """Driver-side read (tests / small tables only)."""
-        paths, target = self._pruned_files(predicates, None, snapshot_id, columns)
-        if not paths:
+        files, target = self._pruned_files(predicates, None, snapshot_id, columns)
+        if not files:
             return target.empty_table()
         return pa.concat_tables(
-            align_to(read_file(p, columns), target) for p in paths
+            align_to(read_file(os.path.join(self.dir, p), columns, d), target) for p, d in files
         )
 
     # -- write path ---------------------------------------------------------
@@ -495,24 +514,24 @@ class Table:
         )
 
     def rollback(self, snapshot_id: int, *, use_actor: bool = False) -> int:
-        """Time-travel restore: commit a NEW snapshot whose live-file set is
-        that of ``snapshot_id`` (Delta RESTORE analog). History is preserved
-        — nothing is deleted, and expiry rules still apply later."""
+        """Time-travel restore: commit a NEW snapshot whose live entries are
+        those of ``snapshot_id`` (Delta RESTORE analog). An entry is its
+        (path, deleted positions): a file whose positions changed since is
+        removed and re-added with the target's. History is preserved —
+        nothing is deleted, and expiry rules still apply later."""
         target_entries, _ = self.snapshot(snapshot_id)
-        cur_entries = self.entries()
-        cur_paths = set(cur_entries["path"].to_pylist())
-        target_paths = set(target_entries["path"].to_pylist())
+        cur = manifest.entry_keys(self.entries())
+        target = manifest.entry_keys(target_entries)
         missing = [
-            p for p in target_paths if not os.path.exists(os.path.join(self.dir, p))
+            p for p, _d in target if not os.path.exists(os.path.join(self.dir, p))
         ]
         if missing:
             raise FileNotFoundError(
                 f"rollback target {snapshot_id} references expired files: {missing[:3]}..."
             )
-        added = target_entries.filter(
-            pa.array([p not in cur_paths for p in target_entries["path"].to_pylist()])
-        )
-        removed = [p for p in cur_paths if p not in target_paths]
+        cur_set, target_set = set(cur), set(target)
+        added = target_entries.filter(pa.array([k not in cur_set for k in target]))
+        removed = [p for p, d in cur if (p, d) not in target_set]
         return self.commit(
             added=added if added.num_rows else None,
             removed=removed,
@@ -583,6 +602,31 @@ class Table:
             lineage.finalize_job(self.dir, job_id, sid)
         return sid
 
+    def _check_removed(
+        self, ents: pa.Table, removed: set[str], expected_parent: int, cur: int, operation: str
+    ) -> None:
+        """Raise ``ConflictError`` unless every removed entry is live in
+        ``ents`` (snapshot ``cur``) as the committer planned it in
+        ``expected_parent``: same path AND same deleted positions. A
+        concurrent MERGE or DELETE that recorded positions keeps the path
+        live, so without the positions its deletes would be lost."""
+        live = dict(manifest.entry_keys(ents))
+        if not removed <= live.keys():
+            raise ConflictError(
+                f"{operation}: parent moved {expected_parent}->{cur} and "
+                f"removed files are no longer live"
+            )
+        try:
+            planned = dict(manifest.entry_keys(self.entries(expected_parent)))
+        except FileNotFoundError:
+            planned = {}
+        moved = [p for p in removed if planned.get(p) != live[p]]
+        if moved:
+            raise ConflictError(
+                f"{operation}: parent moved {expected_parent}->{cur} and the "
+                f"deleted rows of removed files changed: {sorted(moved)[:3]}"
+            )
+
     def _commit_local(
         self,
         *,
@@ -613,12 +657,7 @@ class Table:
                 manifest.set_current(self.dir, cur)
             ents, meta = self.snapshot(cur)
             if expected_parent is not None and cur != expected_parent and removed_set:
-                live = set(ents["path"].to_pylist())
-                if not removed_set <= live:
-                    raise ConflictError(
-                        f"{operation}: parent moved {expected_parent}->{cur} and "
-                        f"removed files are no longer live"
-                    )
+                self._check_removed(ents, removed_set, expected_parent, cur, operation)
             live_paths = ents["path"].to_pylist()
             if removed_set and not removed_set <= set(live_paths):
                 raise ConflictError(f"{operation}: removing non-live files")
@@ -628,6 +667,7 @@ class Table:
                 r_removed = int(pc.sum(ents.filter(pc.invert(keep))["rows"]).as_py() or 0)
                 ents = ents.filter(keep)
             if added is not None and added.num_rows:
+                added = align_to(added, manifest.ENTRY_SCHEMA)
                 live_after = set(live_paths) - removed_set
                 clash = [p for p in added["path"].to_pylist() if p in live_after]
                 if clash:
@@ -635,7 +675,7 @@ class Table:
                         f"{operation}: added paths already live (concurrent "
                         f"writers must use distinct file names): {clash[:3]}"
                     )
-                ents = pa.concat_tables([ents, added.cast(manifest.ENTRY_SCHEMA)])
+                ents = pa.concat_tables([ents, added])
             nid = cur + 1
             schema = meta["schema"]
             if evolve_schema is not None:
@@ -655,6 +695,7 @@ class Table:
             else:
                 snap_extra["changes"] = json.dumps(changes)
                 c_files, c_rows = len(changes), sum(int(c[2]) for c in changes)
+            dv_files, dv_rows = manifest.dv_counts(ents)
             snap_extra["metrics"] = json.dumps(
                 {
                     "added_files": n_added,
@@ -662,6 +703,10 @@ class Table:
                     "removed_files": len(removed_set),
                     "change_files": c_files,
                     "change_rows": c_rows,
+                    # the committed snapshot's deletion vectors: live files
+                    # carrying deleted positions, and the positions carried
+                    "dv_files": dv_files,
+                    "dv_rows": dv_rows,
                 }
             )
             if extra:

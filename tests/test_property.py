@@ -128,4 +128,8 @@ def test_random_op_sequences_preserve_scan(
             [mf.entry_for("", "", data, 0, TRANSCRIPT_STATS_COLS)], schema=mf.ENTRY_SCHEMA
         )
         assert entry["stats"].equals(fresh["stats"])
-        assert entry["rows"][0].as_py() == data.num_rows
+        # an entry counts its live rows: the file's minus its deleted
+        # positions, which are sorted, distinct and inside the file
+        deleted = entry["deleted"][0].as_py() or []
+        assert deleted == sorted(set(deleted)) and all(0 <= p < data.num_rows for p in deleted)
+        assert entry["rows"][0].as_py() == data.num_rows - len(deleted)

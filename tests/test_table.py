@@ -306,9 +306,10 @@ def test_every_writer_routes_rows_to_their_partition(op, tmp_path, ray_session):
     t = _written_by(op, str(tmp_path))
     ents, meta = t.snapshot()
     assert ents.num_rows
-    for e in ents.select(["path", "partition", "rows"]).to_pylist():
+    for e in ents.select(["path", "partition", "rows", "deleted"]).to_pylist():
         rows = pq.read_table(os.path.join(t.dir, e["path"]))
-        assert rows.num_rows == e["rows"] > 0
+        # an entry counts its live rows: the file's minus its deleted positions
+        assert rows.num_rows - len(e["deleted"] or ()) == e["rows"] > 0
         assert list(split_by_partition(rows, meta["partition_spec"])) == [e["partition"]]
         assert os.path.dirname(e["path"]) == os.path.join("data", e["partition"])
     named = set()
