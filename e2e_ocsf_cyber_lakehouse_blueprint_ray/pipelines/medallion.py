@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import pyarrow as pa
@@ -236,11 +237,9 @@ class Medallion:
 
     # -- entry points ----------------------------------------------------
 
-    def run_bronze(
-        self, fixture_root: str, *, use_actor: bool = False, parallel: bool = True
-    ) -> dict[str, int | None]:
+    def run_bronze(self, fixture_root: str, *, use_actor: bool = False) -> dict[str, int | None]:
         """One JSONL ingest job per source (``sources.jsonl.ingest_jsonl``),
-        run concurrently in driver threads unless ``parallel`` is False."""
+        run concurrently in driver threads."""
 
         def job(src):
             t = self.table(f"bronze_{src}_audit_logs")
@@ -248,10 +247,6 @@ class Medallion:
                 t, os.path.join(fixture_root, src), BronzeMeta(src), use_actor=use_actor
             )
             return sid
-
-        if not parallel:
-            return {src: job(src) for src in SOURCES}
-        from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=len(SOURCES)) as ex:
             return dict(zip(SOURCES, ex.map(job, SOURCES)))

@@ -950,7 +950,7 @@ def q_conv_stats(sf_dir: str):
 
 
 def q_maint_optimize_scan(sf_dir: str):
-    """The one-call OPTIMIZE job (compact → auto-cluster → expire)."""
+    """The one-call OPTIMIZE job (auto-cluster → expire)."""
     from ..stages import optimize as optimize_mod
 
     work = tempfile.mkdtemp(prefix="maint-", dir=cfg.scratch_dir())

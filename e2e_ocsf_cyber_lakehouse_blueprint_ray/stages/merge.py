@@ -32,11 +32,13 @@ commit's change record names for the change feed (stages/changes.py).
 
 Scale shape: the SOURCE side of a MERGE is small relative to the target
 (edits/inserts, not the 10^12-row table), so it is split by the target's
-partitioning on the driver and broadcast as one object-store ref per
-partition; each rewrite task fetches only its own partitions' keys and
-upserts and drops matched rows with an Acero hash left-anti join on
-(conv_id, turn_idx). Sources above ``config.merge_broadcast_max_rows`` are
-merged in conv_id-range chunks (``merge_chunked``), one commit each.
+partitioning on the driver, and each unit row carries its own partition's
+payload as Arrow IPC bytes: the source keys in every unit, the upserts in
+the partition's first unit only. A rewrite task thus receives only its own
+units' keys and upserts, with its input, and drops matched rows with an
+Acero hash left-anti join on (conv_id, turn_idx). Sources above
+``config.merge_broadcast_max_rows`` are merged in conv_id-range chunks
+(``merge_chunked``), one commit each.
 """
 
 from __future__ import annotations
@@ -57,17 +59,19 @@ def _key_array(t: pa.Table) -> pa.Array:
     ).combine_chunks()
 
 
-def _source_hash(source: pa.Table) -> str:
-    """Deterministic digest of the source key set — hashes the Arrow key
-    array's raw buffers (C-level) instead of a per-row Python loop."""
-    keys = _key_array(source)
-    # IPC-serialize to get a layout-normalized byte image (value-stable even
-    # when the source is a slice sharing offset buffers)
-    t = pa.table({"k": keys})
+def _ipc(t: pa.Table) -> bytes:
+    """``t`` as Arrow IPC stream bytes: a layout-normalized byte image (the
+    same for a slice that shares offset buffers) that a unit row carries."""
     sink = pa.BufferOutputStream()
     with pa.ipc.new_stream(sink, t.schema) as w:
         w.write_table(t)
-    return hashlib.blake2b(sink.getvalue(), digest_size=8).hexdigest()
+    return sink.getvalue().to_pybytes()
+
+
+def _source_hash(source: pa.Table) -> str:
+    """Deterministic digest of the source key set — hashes the Arrow key
+    array's raw buffers (C-level) instead of a per-row Python loop."""
+    return hashlib.blake2b(_ipc(pa.table({"k": _key_array(source)})), digest_size=8).hexdigest()
 
 
 def _key_table(keys: pa.Table, schema: pa.Schema) -> pa.Table:
@@ -102,8 +106,6 @@ def merge(
     op semantics: "update"/"insert" upsert the row; "delete" removes the
     matched key. Returns the new snapshot id.
     """
-    import ray
-
     # pin the parent first: the schema, partition spec and files all come
     # from this one snapshot read
     parent = table.current_snapshot_id()
@@ -125,34 +127,29 @@ def merge(
         )
     by_path = rewrite.entries_by_path(ents)
 
-    delete_keys: dict[str, pa.Table] = {}
-    extra_rows: dict[str, bytes] = {}
+    payload: dict[str, tuple[bytes, bytes]] = {}  # partition -> (keys, upserts)
     conv_ranges: dict[str, tuple[str, str]] = {}
     # split source rows by target partition (driver-side: source is small)
     for part, chunk in split_by_partition(source, meta["partition_spec"]).items():
         # all source keys leave the target; shipped as a 2-column key table
         # for the rewriter's Acero left-anti join (no key-string building)
-        delete_keys[part] = _key_table(
-            chunk.select(["conv_id", "turn_idx"]).combine_chunks(), tbl_schema
-        )
+        keys = _key_table(chunk.select(["conv_id", "turn_idx"]).combine_chunks(), tbl_schema)
         ups = chunk.filter(pc.not_equal(chunk["op"], "delete")).drop_columns(["op"])
         # MERGE INTO coerces source columns to the target schema (widened
         # ints, reordered columns); out-of-range values raise loudly here,
         # at planning time, not inside a rewrite task
         ups = pa.table({f.name: ups[f.name].cast(f.type) for f in tbl_schema})
-        sink = pa.BufferOutputStream()
-        with pa.ipc.new_stream(sink, ups.schema) as w:
-            w.write_table(ups)
-        extra_rows[part] = sink.getvalue().to_pybytes()
+        payload[part] = (_ipc(keys), _ipc(ups))
         convs = chunk["conv_id"]
         conv_ranges[part] = (pc.min(convs).as_py(), pc.max(convs).as_py())
 
     # plan: touched files = partition has source keys AND conv_id stats
     # overlap. Units are byte-capped BINS of touched files (a hot partition
-    # must not become one unbounded task); upserts/inserts attach to the
-    # partition's FIRST bin only, deletes/updates drop keys in every bin —
-    # per-file anti-join is correct because a key lives in exactly the files
-    # whose stats cover it, and they are all in some bin.
+    # must not become one unbounded task). Each unit row carries its
+    # partition's payload: every bin the keys (deletes/updates drop keys in
+    # every bin — per-file anti-join is correct because a key lives in
+    # exactly the files whose stats cover it, and they are all in some bin),
+    # the FIRST bin alone the upserts, so each lands once.
     units: list[dict] = []
     params = _source_hash(source)
     bin_cap = max(table.config.target_file_bytes, 1)
@@ -170,23 +167,16 @@ def merge(
     ):
         touched_by_part.setdefault(part, []).append(path)
     for part in parts:
-        touched = sorted(touched_by_part.get(part, ()))
-        if not touched:
-            unit = rewrite.make_bin([], part, by_path, params=params)
-            unit["unit_id"] = lineage.unit_id([f"<empty:{part}>"], params)
-            unit["apply_extra"] = True
-            units.append(unit)
-            continue
-        for i, b in enumerate(rewrite.pack_bins(touched, by_path, bin_cap)):
+        keys, ups = payload[part]
+        # a partition no file of which is touched gets one empty-input unit
+        bins = rewrite.pack_bins(touched_by_part.get(part, ()), by_path, bin_cap) or [[]]
+        for i, b in enumerate(bins):
             unit = rewrite.make_bin(b, part, by_path, params=params)
-            unit["apply_extra"] = i == 0  # upserts land in ONE bin per partition
-            units.append(unit)
+            if not b:
+                unit["unit_id"] = lineage.unit_id([f"<empty:{part}>"], params)
+            units.append(dict(unit, keys=keys, upserts=ups if i == 0 else None))
 
     job_id = lineage.job_id_for("merge", parent, params)
-    # two-level broadcast: outer dict holds one ObjectRef per partition so a
-    # rewrite task only fetches its own partition's keys/upserts
-    dk_ref = ray.put({p: ray.put(v) for p, v in delete_keys.items()})
-    ex_ref = ray.put({p: ray.put(v) for p, v in extra_rows.items()})
     out = rewrite.run_bins(
         table,
         units,
@@ -195,8 +185,6 @@ def merge(
         schema=tbl_schema,
         stats_cols=manifest.stats_cols(meta),
         sort_key=["conv_id", "turn_idx"],
-        extra_rows_ref=ex_ref,
-        delete_keys_ref=dk_ref,
         fail_after=fail_after,
     )
     added, removed, changes = rewrite.dml_entries(ents, units, out)

@@ -31,7 +31,10 @@ unit emits its entry with the new positions, and ``dml_entries`` gives it
 the parent entry's bytes and stats on the driver. Any other is folded —
 its live rows are rewritten, with the partition's MERGE upserts when the
 unit carries them; a unit that folds nothing writes its upserts to one
-small file.
+small file. A MERGE unit row carries its partition's payload itself, as
+Arrow IPC stream bytes: the source keys (``keys``) in every unit, the
+upserts (``upserts``) in the partition's first unit only, so Ray Data ships
+each task exactly the payload of the units it runs.
 
 Change data: a MERGE or DELETE unit also writes ``<unit_id>-cdf.parquet``
 under ``_change_data/`` — the rows it dropped ('removed') and the upserts it
@@ -56,6 +59,10 @@ from ..state.manifest import ENTRY_SCHEMA
 from ..table import Table, align_to, read_file
 
 _ROW = "_row"
+
+
+def _from_ipc(b: bytes | None) -> pa.Table | None:
+    return None if b is None else pa.ipc.open_stream(b).read_all()
 
 
 def _labelled(rows: pa.Table, change: str) -> pa.Table:
@@ -171,13 +178,11 @@ class BinRewriter:
     key per row (clustering, stages/cluster.cluster_key) — when given, else
     by the columns of ``sort_key`` the rows have (compaction, merge), else
     input order.
-    ``extra_rows_ref``: ObjectRef of {partition: ObjectRef(ipc bytes)} to
-    union into the bin (MERGE upserts). Two-level refs on purpose: the outer
-    dict is tiny, and a task ray.gets ONLY its own partition's payload —
-    shipping one flat dict would memcpy every partition's upserts into every
-    task.
-    ``delete_keys_ref``: same shape for {partition: ObjectRef(key table)} —
-    a 2-column (conv_id, turn_idx) Arrow table anti-joined away (MERGE).
+
+    A unit row with ``keys`` is a MERGE unit: ``keys`` is a 2-column
+    (conv_id, turn_idx) table anti-joined away, ``upserts`` (or None) the
+    rows unioned into the bin, both as IPC stream bytes. ``delete_range``
+    makes every unit a DELETE unit.
     """
 
     def __init__(
@@ -190,31 +195,21 @@ class BinRewriter:
         stats_cols: list[str],
         sort_key: list[str] | None = None,
         cluster_key: Callable[[pa.Table], np.ndarray] | None = None,
-        extra_rows_ref=None,
-        delete_keys_ref=None,
         delete_range: tuple | None = None,
         fail_after: int | None = None,
     ):
-        import ray
-
         limit_arrow_threads()
         self.table = Table(table_dir, config)
         self.config = config
         self.job_id = job_id
         self.sort_key = sort_key or []
         self.cluster_key = cluster_key
-        self.extra = ray.get(extra_rows_ref) if extra_rows_ref is not None else {}
-        self.delete_keys = ray.get(delete_keys_ref) if delete_keys_ref is not None else {}
         #: (col, lo, hi): drop rows with lo <= col <= hi (DELETE WHERE rewrite;
         #: timestamps compare as int64 µs, matching manifest stats)
         self.delete_range = delete_range
         self.schema = schema
         self.stats_cols = stats_cols
         self.fail_after = fail_after
-        #: per-__call__ cache of prefetched broadcast payloads; lives only
-        #: for one batch, so a rewriter called on several batches never
-        #: accumulates every touched partition's payload in its heap
-        self._resolved: dict[tuple[str, str], object] = {}
 
     # -- helpers ---------------------------------------------------------
 
@@ -227,16 +222,12 @@ class BinRewriter:
             return None
         return pa.concat_tables(self._read(p, deleted.get(p)) for p in inputs).combine_chunks()
 
-    def _hits(self, t: pa.Table, partition: str) -> np.ndarray:
+    def _hits(self, t: pa.Table, dk: pa.Table | None) -> np.ndarray:
         """Per row of ``t``: whether this MERGE or DELETE drops it — its
-        (conv_id, turn_idx) is a source key of the partition, or it falls
-        in the DELETE range."""
-        import ray
-
+        (conv_id, turn_idx) is in the unit's source key table ``dk``, or it
+        falls in the DELETE range."""
         hit = np.zeros(t.num_rows, bool)
-        dk = self._resolved.get(("dk", partition), self.delete_keys.get(partition))
         if dk is not None:
-            dk = ray.get(dk) if isinstance(dk, ray.ObjectRef) else dk
             # Acero needs exact key-type equality; cast the (small) key table
             # to this file's column types so a pre-evolution file never
             # raises. Merge planning already dropped null keys and keys the
@@ -259,27 +250,21 @@ class BinRewriter:
             hit |= rng.to_numpy(zero_copy_only=False)
         return hit
 
-    def _upserts(self, partition: str) -> pa.Table | None:
-        """The partition's MERGE upserts (insert / update rows), if any."""
-        import ray
-
-        ex = self._resolved.get(("ex", partition), self.extra.get(partition))
-        if ex is None:
-            return None
-        ex = ray.get(ex) if isinstance(ex, ray.ObjectRef) else ex
-        ex_t = pa.ipc.open_stream(ex).read_all()
-        return ex_t if ex_t.num_rows else None
-
     def _dml_unit(
-        self, inputs: list[str], deleted: dict, partition: str, apply_extra: bool
+        self,
+        inputs: list[str],
+        deleted: dict,
+        partition: str,
+        keys: pa.Table | None,
+        ups: pa.Table | None,
     ) -> tuple[pa.Table | None, list[pa.Table], list[dict]]:
         """A MERGE or DELETE unit, decided file by file: (the rows to write,
         the change parts, the entries of inputs kept live). A file with no
         hit is kept as it is; one left with no live row is dropped; one
         whose old plus new positions exceed ``DV_MAX_POSITIONS`` is folded
         (its survivors are written); any other is kept with the hit rows'
-        physical positions added. The partition's upserts join the written
-        rows; with no fold they are the unit's one small file. One
+        physical positions added. The unit's upserts ``ups`` join the
+        written rows; with no fold they are the unit's one small file. One
         anti-join serves all the unit's files: a join per file put a churn
         MERGE's in-process CPU at 323 ms against 278 ms (median of 10)."""
         write: list[pa.Table] = []
@@ -287,7 +272,7 @@ class BinRewriter:
         kept: list[dict] = []
         olds = [np.asarray(deleted.get(p) or [], np.int64) for p in inputs]
         tables = [self._read(p, old) for p, old in zip(inputs, olds)]
-        hits = self._hits(pa.concat_tables(tables), partition) if tables else None
+        hits = self._hits(pa.concat_tables(tables), keys) if tables else None
         ends = np.cumsum([t.num_rows for t in tables])
         for p, old, t, end in zip(inputs, olds, tables, ends):
             hit = hits[end - t.num_rows : end]
@@ -307,8 +292,7 @@ class BinRewriter:
                 {"path": p, "partition": partition, "rows": t.num_rows - n_hit, "bytes": 0,
                  "stats": None, "deleted": old.tolist() or None}
             )
-        ups = self._upserts(partition) if apply_extra else None
-        if ups is not None:
+        if ups is not None and ups.num_rows:
             changed.append(_labelled(ups, "added"))
             write.append(ups)
         return (pa.concat_tables(write).combine_chunks() if write else None), changed, kept
@@ -361,9 +345,9 @@ class BinRewriter:
         partition = unit["partition"]
         changed: list[pa.Table] = []
         kept: list[dict] = []
-        if self.delete_keys or self.delete_range is not None:
-            apply_extra = bool(unit.get("apply_extra", True))
-            t, changed, kept = self._dml_unit(inputs, deleted, partition, apply_extra)
+        keys, ups = (_from_ipc(unit.get(c)) for c in ("keys", "upserts"))
+        if keys is not None or self.delete_range is not None:
+            t, changed, kept = self._dml_unit(inputs, deleted, partition, keys, ups)
         else:
             t = self._read_inputs(inputs, deleted)
         # the unit's change file: written before the lineage record, which
@@ -394,39 +378,10 @@ class BinRewriter:
         )
         return out
 
-    def _prefetch_refs(self, units: list[dict]) -> None:
-        """Resolve this batch's broadcast slices (delete keys / upsert rows)
-        in ONE ``ray.get`` round trip, into the per-call ``self._resolved``
-        cache. Per-unit gets queue on the object store under high task
-        concurrency — measured on the 16-slot merge stage as 4×
-        anti-join-phase wall inflation with 2 s p99 spikes vs 4 slots; one
-        batched get per task keeps the two-level-broadcast property (a task
-        still fetches only its own partitions' payloads) while collapsing
-        the round trips. The cache is cleared after the batch so a
-        rewriter holds at most one batch's partitions worth of payload,
-        never the whole job's."""
-        import ray
-
-        need: dict[tuple[str, str], object] = {}
-        for u in units:
-            p = u["partition"]
-            if isinstance(self.delete_keys.get(p), ray.ObjectRef):
-                need[("dk", p)] = self.delete_keys[p]
-            if isinstance(self.extra.get(p), ray.ObjectRef):
-                need[("ex", p)] = self.extra[p]
-        if need:
-            self._resolved.update(zip(need, ray.get(list(need.values()))))
-
     def __call__(self, batch: pa.Table) -> pa.Table:
-        units = batch.to_pylist()
-        if self.delete_keys or self.extra:
-            self._prefetch_refs(units)
-        try:
-            return pa.concat_tables(
-                [ENTRY_SCHEMA.empty_table()] + [self._do_unit(u) for u in units]
-            )
-        finally:
-            self._resolved.clear()
+        return pa.concat_tables(
+            [ENTRY_SCHEMA.empty_table()] + [self._do_unit(u) for u in batch.to_pylist()]
+        )
 
 
 def run_bins(
@@ -442,8 +397,8 @@ def run_bins(
 
     ``rewriter_kw`` go to ``BinRewriter``, including the job's ``schema``
     and ``stats_cols`` from the caller's snapshot read. The rewriter object
-    is rebuilt per task — its init is a zero-copy ``ray.get`` of the
-    broadcast refs, microseconds against a multi-MB file rewrite.
+    is rebuilt per task; its init is microseconds against a multi-MB file
+    rewrite.
     """
     table_dir, config = table.dir, table.config
 

@@ -2,11 +2,14 @@ import dataclasses
 
 import pyarrow as pa
 import pyarrow.compute as pc
+import pytest
 
 from e2e_ocsf_cyber_lakehouse_blueprint_ray import synth
 from e2e_ocsf_cyber_lakehouse_blueprint_ray.pipelines.builder import Flow, Pipeline, register, transform
 from e2e_ocsf_cyber_lakehouse_blueprint_ray.schema import TRANSCRIPT, TRANSCRIPT_STATS_COLS
+from e2e_ocsf_cyber_lakehouse_blueprint_ray.stages import changes as changes_mod
 from e2e_ocsf_cyber_lakehouse_blueprint_ray.stages import merge as merge_mod
+from e2e_ocsf_cyber_lakehouse_blueprint_ray.stages import rewrite
 from e2e_ocsf_cyber_lakehouse_blueprint_ray.table import Table
 from tests.test_table import CONF, make_table, sorted_scan
 
@@ -65,7 +68,9 @@ def test_merge_chunked_matches_single_merge(tmp_path, ray_session):
 
 def test_merge_with_multi_bin_partitions(tmp_path, ray_session):
     """Byte-capped merge units: several bins per partition, upserts applied
-    exactly once (hot-partition memory-bound path)."""
+    exactly once (hot-partition memory-bound path), also when the MERGE
+    crashes after one unit and resumes: task batches then mix units with
+    and without the partition's upserts."""
     data = synth.transcripts(0.001)
     src = synth.merge_source(data)
     tiny = dataclasses.replace(CONF, target_file_bytes=16 * 1024)  # force multi-bin
@@ -78,5 +83,34 @@ def test_merge_with_multi_bin_partitions(tmp_path, ray_session):
     )
     t.write_table(data, rows_per_file=150)
     from e2e_ocsf_cyber_lakehouse_blueprint_ray.stages.merge import _source_hash  # noqa: F401
+    pre = t.current_snapshot_id()
+    by_path = rewrite.entries_by_path(t.entries())
+    files: dict[str, list[str]] = {}
+    for p, r in by_path.items():
+        files.setdefault(r["partition"], []).append(p)
+    # every partition's files pack into several units
+    cap = tiny.target_file_bytes
+    assert all(len(rewrite.pack_bins(fs, by_path, cap)) > 1 for fs in files.values())
+    with pytest.raises(Exception):
+        merge_mod.merge(t, src, fail_after=1, concurrency=1)
+    assert t.current_snapshot_id() == pre
     merge_mod.merge(t, src)
     assert sorted_scan(t).equals(synth.apply_merge_expected(data, src))
+
+    # the feed over the MERGE: each upsert added once, each matched row removed
+    diff = changes_mod.snapshot_changes(t, pre, t.current_snapshot_id()).take_all()
+    names = TRANSCRIPT.names
+
+    def rows(tbl):
+        return sorted(tuple(r[c] for c in names) for r in tbl.select(names).to_pylist())
+
+    def feed(change):
+        return sorted(tuple(r[c] for c in names) for r in diff if r["change"] == change)
+
+    def key_list(tbl):
+        return list(zip(tbl["conv_id"].to_pylist(), tbl["turn_idx"].to_pylist()))
+
+    keys = set(key_list(src))
+    matched = data.filter(pa.array([k in keys for k in key_list(data)]))
+    assert feed("added") == rows(src.filter(pc.not_equal(src["op"], "delete")))
+    assert feed("removed") == rows(matched)

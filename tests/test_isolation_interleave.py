@@ -54,16 +54,18 @@ def test_append_between_plan_and_commit_survives(tmp_table_dir, ray_session):
 def test_optimize_sequence(tmp_table_dir, ray_session):
     data = synth.transcripts(0.001)
     t = make_table(tmp_table_dir, data, rows_per_file=300)
-    out = optimize.optimize(t, expire_keep_last=1)
-    assert out["compact"] is not None and out["cluster"] is not None
-    assert t.current_snapshot_id() in out["expire"]
+    pre = t.current_snapshot_id()
+    out = optimize.optimize(t)
+    # one rewrite: a single cluster commit, no compaction pass before it
+    ops = [h["operation"] for h in t.history() if h["snapshot_id"] > pre]
+    assert ops == ["cluster-zorder"] and out["cluster"] == t.current_snapshot_id()
     expect = data.take(
         pc.sort_indices(data, sort_keys=[("conv_id", "ascending"), ("turn_idx", "ascending")])
     )
     assert sorted_scan(t).equals(expect)
-    # idempotent: nothing left to do
-    again = optimize.optimize(t)
-    assert again["compact"] is None
+    out = optimize.optimize(t, expire_keep_last=1)
+    assert out["expire"] == [t.current_snapshot_id()]
+    assert sorted_scan(t).equals(expect)
 
 
 def test_append_during_delete_survives(tmp_table_dir, ray_session, monkeypatch):

@@ -258,7 +258,7 @@ def _written_by(op: str, d: str) -> Table:
         synth.write_audit_fixture(os.path.join(d, "raw"), n_per_source=60)
         m = Medallion(os.path.join(d, "tables"), CONF)
         m.setup()
-        m.run_bronze(os.path.join(d, "raw"), parallel=False)
+        m.run_bronze(os.path.join(d, "raw"))
         m.run_silver()
         return m.table("silver_github_audit_logs")
     if op == "append_dataset":
