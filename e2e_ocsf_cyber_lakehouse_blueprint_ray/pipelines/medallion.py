@@ -16,7 +16,8 @@ EP3 gold fan-out   — 15 ``@sdp.append_flow`` → 6 shared Delta sinks with
     table's metastore actor), with schema evolution on first append.
 
 Silver and gold share one runner, ``Medallion._run_flows``, called once per
-layer: one Ray Data job of partition-aligned units, each of which reads the
+layer: one plan of partition-aligned units (``rewrite.map_units`` runs it in
+the driver or as one Ray Data job, by its bytes), each of which reads the
 new upstream files (all sources) of whole ``_event_date`` partitions once
 and writes each sink's rows of a partition as one file, so the number of
 files a layer writes is set by its sinks and partitions, not by its
@@ -167,9 +168,9 @@ class Medallion:
         return units, new, schemas
 
     def _run_flows(self, flows: list[Flow], *, use_actor: bool) -> dict[str, int | None]:
-        """Run one layer's flows in one Ray Data job of partition-aligned
-        units (``_plan``). A unit task reads each of its files once,
-        aligned to its upstream's snapshot schema; each flow transforms the
+        """Run one layer's flows as one ``map_units`` plan of
+        partition-aligned units (``_plan``). A unit reads each of its files
+        once, aligned to its upstream's snapshot schema; each flow transforms the
         concatenated rows of its own new files (flows of one upstream share
         them unless a crash between sink commits split their file sets);
         each sink's flow outputs are concatenated and written as one file
@@ -178,7 +179,7 @@ class Medallion:
         into the sink's lineage log — so every flow is exactly-once on its
         own. Returns ``{tag: the sink's snapshot id, or None if the flow
         had nothing new}``."""
-        from ..stages.rewrite import limit_arrow_threads, map_units
+        from ..stages.rewrite import map_units
 
         units, new, schemas = self._plan(flows)
         sinks = [t for _, t in sorted({f.sink.dir: f.sink for f in flows if new[f.tag]}.items())]
@@ -196,7 +197,6 @@ class Medallion:
         tagged = manifest.ENTRY_SCHEMA.append(pa.field("sink", pa.int32()))
 
         def run_units(batch: pa.Table) -> pa.Table:
-            limit_arrow_threads()
             out = [tagged.empty_table()]
             for unit in batch.to_pylist():
                 files = json.loads(unit["inputs"])

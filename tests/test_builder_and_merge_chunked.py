@@ -66,7 +66,7 @@ def test_merge_chunked_matches_single_merge(tmp_path, ray_session):
     assert sorted_scan(t).equals(synth.apply_merge_expected(data, src))
 
 
-def test_merge_with_multi_bin_partitions(tmp_path, ray_session):
+def test_merge_with_multi_bin_partitions(tmp_path, ray_session, in_driver):
     """Byte-capped merge units: several bins per partition, upserts applied
     exactly once (hot-partition memory-bound path), also when the MERGE
     crashes after one unit and resumes: task batches then mix units with

@@ -260,7 +260,7 @@ def test_feed_from_expired_snapshot_names_it(tmp_table_dir, ray_session):
         changes_mod.snapshot_changes(t, old, cur)
 
 
-def test_delete_resume_after_crash(tmp_table_dir, ray_session):
+def test_delete_resume_after_crash(tmp_table_dir, ray_session, in_driver):
     """DELETE shares the bin machinery's lineage resume: a crash mid-job
     leaves no commit; the re-run replans the same job, skips completed
     units, and produces the exact filtered table."""

@@ -73,7 +73,7 @@ def _runs_left(t) -> list[str]:
     return glob.glob(os.path.join(t.dir, lineage.runs_dir("*")))
 
 
-def test_global_cluster_crash_is_atomic(tmp_path, ray_session, monkeypatch):
+def test_global_cluster_crash_is_atomic(tmp_path, ray_session, monkeypatch, in_driver):
     """mode="global" cuts every partition into key ranges. A crash inside
     the scatter or inside a sub-bin leaves the table on its previous
     snapshot; a rerun redoes no finished unit (its lineage record and

@@ -50,7 +50,7 @@ def test_compact_scan_equality(tmp_table_dir, ray_session, base_data):
     assert compact_mod.compact(t) is None
 
 
-def test_compact_resume_after_crash(tmp_table_dir, ray_session, base_data):
+def test_compact_resume_after_crash(tmp_table_dir, ray_session, base_data, in_driver):
     t = make_table(tmp_table_dir, base_data)
     with pytest.raises(Exception):
         compact_mod.compact(t, fail_after=2, concurrency=1)
@@ -108,7 +108,7 @@ def test_cluster_scan_equality(tmp_table_dir, ray_session, base_data, mode, curv
     assert sorted_scan(t).equals(expected_sorted(base_data))
 
 
-def test_cluster_partition_resume(tmp_table_dir, ray_session, base_data):
+def test_cluster_partition_resume(tmp_table_dir, ray_session, base_data, in_driver):
     t = make_table(tmp_table_dir, base_data)
     with pytest.raises(Exception):
         cluster_mod.cluster(t, mode="partition", fail_after=2, concurrency=1)
@@ -143,7 +143,7 @@ def test_merge_only_touches_overlapping_files(tmp_table_dir, ray_session, base_d
     assert edited.num_rows == 1
 
 
-def test_merge_resume_after_crash(tmp_table_dir, ray_session, base_data):
+def test_merge_resume_after_crash(tmp_table_dir, ray_session, base_data, in_driver):
     t = make_table(tmp_table_dir, base_data)
     src = synth.merge_source(base_data)
     with pytest.raises(Exception):
@@ -337,7 +337,9 @@ def test_cluster_key_same_in_both_modes(tmp_table_dir, ray_session, base_data, m
         assert (np.diff(run) >= 0).all(), (part, len(paths))
 
 
-def test_cluster_n_columns_partition_resume(tmp_table_dir, ray_session, base_data):
+def test_cluster_n_columns_partition_resume(
+    tmp_table_dir, ray_session, base_data, in_driver
+):
     """N-column clustering runs in partition mode with per-partition
     lineage: a mid-job crash leaves the snapshot unchanged, and the rerun
     reuses the finished partitions' files and commits once."""
