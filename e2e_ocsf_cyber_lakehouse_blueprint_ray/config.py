@@ -35,8 +35,8 @@ class EngineConfig:
     # --- execution ------------------------------------------------------
     #: task concurrency of rewrite stages (compaction / merge / cluster
     #: file writers, medallion flow layers), and the driver's thread count
-    #: for a plan small enough to run in it (rewrite.map_units). Sized to
-    #: the node; tests override to 2-4.
+    #: for a rewrite plan small enough to run in it (rewrite.map_units).
+    #: Sized to the node; tests override to 2-4.
     rewrite_concurrency: int = 8
     #: batch size for map_batches transform stages.
     batch_size: int = 64 * 1024

@@ -9,7 +9,7 @@ bounded-size rewrite tasks (SURVEY.md §7 step 3).
 
 Execution shape (``map_units``): a plan of at most ``DRIVER_MAX_BYTES`` of
 inputs runs its units in the calling process, on a pool of
-``rewrite_concurrency`` threads; a larger one is
+``rewrite_concurrency`` threads; a larger one is ``ray_map_units``'
 ``ray.data.from_items(bins).map_batches(rewrite_bin, concurrency=N)`` —
 stateless tasks, a few bins each, on Ray's warm workers (no actor pool to
 spin up). Both executors call the same unit function, so lineage, resume
@@ -467,32 +467,46 @@ def map_units(
     straggler tail of the last wave bounds the plan's wall time, so heavy
     units — hot partitions with attached MERGE upserts — must start early).
 
-    The executor is chosen by the plan's summed ``in_bytes``:
-
-    - at most ``DRIVER_MAX_BYTES``: ``fn`` runs in this process, one unit
-      per call on ``min(concurrency, len(units))`` threads (Arrow's
-      Parquet and compute kernels release the GIL), or one call over all
-      the units on one thread. A unit's exception propagates as it is.
-    - above it: stateless Ray Data tasks. ``from_items`` puts one unit per
-      block, so scheduling is straggler-friendly with NO actor-pool spin-up
-      on the critical path (a fresh 32-actor pool costs ~3 s; tasks reuse
-      Ray's warm workers across stages). Each task pins Arrow's pools
-      (``limit_arrow_threads``); Ray wraps a unit's exception.
+    The executor is chosen by the plan's summed ``in_bytes``: at most
+    ``DRIVER_MAX_BYTES``, ``fn`` runs in this process, one unit per call on
+    ``min(concurrency, len(units))`` threads (Arrow's Parquet and compute
+    kernels release the GIL), or one call over all the units on one
+    thread, and a unit's exception propagates as it is; above it, the plan
+    is ``ray_map_units``' job.
     """
     if not units:
         return schema.empty_table()
     conc = max(1, min(concurrency, len(units)))
     units = sorted(units, key=lambda u: -u["in_bytes"])
-    if sum(u["in_bytes"] for u in units) <= DRIVER_MAX_BYTES:
-        with _DRIVER_POOL.sized(conc):
-            if conc == 1:
-                outs = [fn(pa.Table.from_pylist(units))]
-            else:
-                with ThreadPoolExecutor(conc) as ex:
-                    outs = list(ex.map(lambda u: fn(pa.Table.from_pylist([u])), units))
-        return pa.concat_tables([schema.empty_table()] + outs).combine_chunks()
+    if sum(u["in_bytes"] for u in units) > DRIVER_MAX_BYTES:
+        return ray_map_units(units, fn, conc, schema)
+    with _DRIVER_POOL.sized(conc):
+        if conc == 1:
+            outs = [fn(pa.Table.from_pylist(units))]
+        else:
+            with ThreadPoolExecutor(conc) as ex:
+                outs = list(ex.map(lambda u: fn(pa.Table.from_pylist([u])), units))
+    return pa.concat_tables([schema.empty_table()] + outs).combine_chunks()
 
+
+def ray_map_units(
+    units: list[dict],
+    fn: Callable[[pa.Table], pa.Table],
+    concurrency: int,
+    schema: pa.Schema = ENTRY_SCHEMA,
+) -> pa.Table:
+    """``map_units`` as stateless Ray Data tasks at any plan size, units
+    heaviest first. ``from_items`` puts one unit per block, so scheduling
+    is straggler-friendly with NO actor-pool spin-up on the critical path
+    (a fresh 32-actor pool costs ~3 s; tasks reuse Ray's warm workers
+    across stages). Each task pins Arrow's pools
+    (``limit_arrow_threads``); Ray wraps a unit's exception."""
     import ray.data as rd
+
+    if not units:
+        return schema.empty_table()
+    conc = max(1, min(concurrency, len(units)))
+    units = sorted(units, key=lambda u: -u["in_bytes"])
 
     def task(batch: pa.Table) -> pa.Table:
         limit_arrow_threads()

@@ -33,10 +33,10 @@ def tmp_table_dir(tmp_path):
 
 @pytest.fixture()
 def in_driver():
-    """Lift ``rewrite.map_units``' cap: every rewrite and flow plan runs in
-    the calling process. Its own MonkeyPatch, so a test's
-    ``monkeypatch.undo()`` keeps it. tests/test_executors.py reruns the
-    tests that take it with the cap at 0, on Ray Data."""
+    """Lift ``rewrite.map_units``' cap: every rewrite plan runs in the
+    calling process. Its own MonkeyPatch, so a test's ``monkeypatch.undo()``
+    keeps it. tests/test_executors.py reruns the tests that take it with
+    the cap at 0, on Ray Data."""
     from e2e_ocsf_cyber_lakehouse_blueprint_ray.stages import rewrite
 
     with pytest.MonkeyPatch.context() as mp:

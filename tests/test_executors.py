@@ -1,9 +1,9 @@
 """The two executors of ``rewrite.map_units``: the calling process, for a
 plan of at most ``DRIVER_MAX_BYTES`` of inputs, and a Ray Data job for a
-larger one. Both run the same unit function, so every crash-resume test
-passes on either, a crash on one resumes on the other, and the cap alone
-picks the executor. The driver path leaves the process's Arrow pools as it
-found them."""
+larger one (medallion flow plans always take the latter). Both run the
+same unit function, so every crash-resume test passes on either, a crash
+on one resumes on the other, and the cap alone picks the executor. The
+driver path leaves the process's Arrow pools as it found them."""
 
 import glob
 import os
@@ -26,7 +26,6 @@ from tests import test_builder_and_merge_chunked as chunked
 from tests import test_changes_delete as dml
 from tests import test_continuous as continuous
 from tests import test_maintenance as maint
-from tests import test_medallion as med
 from tests.test_table import make_table, sorted_scan
 
 
@@ -76,16 +75,6 @@ RESUME_TESTS = {
     "test_global_cluster_crash_is_atomic": (
         lambda p, b, mp: continuous.test_global_cluster_crash_is_atomic(p, None, mp, None)
     ),
-    "test_gold_crash_between_sink_commits_resumes_exactly_once-1": (
-        lambda p, b, mp: med.test_gold_crash_between_sink_commits_resumes_exactly_once(
-            p, None, mp, 1, None
-        )
-    ),
-    "test_gold_crash_between_sink_commits_resumes_exactly_once-4": (
-        lambda p, b, mp: med.test_gold_crash_between_sink_commits_resumes_exactly_once(
-            p, None, mp, 4, None
-        )
-    ),
 }
 
 
@@ -96,8 +85,7 @@ def test_resume_on_ray_data(
     """Each crash-resume test that runs in the driver under ``in_driver``,
     rerun with the cap at 0: every plan with inputs is a Ray Data job,
     which wraps the unit's exception (hence the tests' ``pytest.raises
-    (Exception)``). The cap is set on a MonkeyPatch of its own, which the
-    gold test's ``monkeypatch.undo()`` leaves in place."""
+    (Exception)``)."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rewrite, "DRIVER_MAX_BYTES", 0)
         RESUME_TESTS[name](tmp_path, base_data, monkeypatch)

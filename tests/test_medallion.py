@@ -448,7 +448,7 @@ def test_gold_writes_one_file_per_sink_partition(tmp_path, ray_session, monkeypa
 
 @pytest.mark.parametrize("k", [1, 4])
 def test_gold_crash_between_sink_commits_resumes_exactly_once(
-    tmp_path, ray_session, monkeypatch, k, in_driver
+    tmp_path, ray_session, monkeypatch, k
 ):
     """A crash after the k-th of a run's 6 sink commits leaves some flows
     of a silver table committed and the rest not. A second wave lands
