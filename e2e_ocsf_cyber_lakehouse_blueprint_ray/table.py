@@ -54,10 +54,19 @@ class ConflictError(RuntimeError):
     """A concurrent commit removed files this commit depends on."""
 
 
-def _write_parquet_atomic(table: pa.Table, path: str, level: int = 3) -> int:
+#: Every data, change and run file: pruning reads the manifest, never a
+#: footer, so footers get statistics only on the stats columns, and no column
+#: gets dictionary pages (``text`` and ``ts`` are unique per row). 16 sorted
+#: sf0.03 transcript files, 1 Arrow thread, median of 9: write / read CPU 352
+#: / 89 ms, 15.08 MB at zstd 3 with Arrow's defaults; 157 / 70 ms, 14.28 MB here.
+PARQUET_PROFILE = dict(compression="zstd", compression_level=1, use_dictionary=False)
+
+
+def _write_parquet_atomic(table: pa.Table, path: str, stats: list[str] | bool) -> int:
+    """``stats``: the columns with footer statistics (True: all; False: none)."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + f".tmp.{os.getpid()}.{time.monotonic_ns()}"
-    pq.write_table(table, tmp, compression="zstd", compression_level=level)
+    pq.write_table(table, tmp, write_statistics=stats, **PARQUET_PROFILE)
     os.replace(tmp, path)
     return os.path.getsize(path)
 
@@ -375,30 +384,24 @@ class Table:
         rows into files of at most ``rows_per_file`` rows named
         ``{prefix}-{k}.parquet``, write each atomically and return their
         manifest entries. Callers resolve ``stats_cols`` once on the driver,
-        so no writer reads the snapshot."""
+        so no writer reads the snapshot; only they get footer statistics."""
         pdir = os.path.join("data", partition) if partition else "data"
         entries = []
         for k, off in enumerate(range(0, rows.num_rows, rows_per_file)):
             sl = rows.slice(off, rows_per_file)
             rel = os.path.join(pdir, f"{prefix}-{k:04d}.parquet")
-            nbytes = _write_parquet_atomic(sl, os.path.join(self.dir, rel))
+            nbytes = _write_parquet_atomic(sl, os.path.join(self.dir, rel), stats_cols or True)
             entries.append(manifest.entry_for(rel, partition, sl, nbytes, stats_cols))
         return pa.Table.from_pylist(entries, schema=manifest.ENTRY_SCHEMA)
 
-    def write_side_file(self, rows: pa.Table, rel: str, partition: str, level: int = 3) -> dict:
+    def write_side_file(self, rows: pa.Table, rel: str, partition: str) -> dict:
         """Write one file that is never live — a change file under the
         change-data dir (rows carry a ``change`` column; the commit names it
         in its change record) or a cluster job's staging run file — at
-        table-relative ``rel``, atomically, with zstd at ``level``, and
+        table-relative ``rel``, atomically, without footer statistics, and
         return its stats-less entry."""
-        nbytes = _write_parquet_atomic(rows, os.path.join(self.dir, rel), level)
-        return {
-            "path": rel,
-            "partition": partition,
-            "rows": rows.num_rows,
-            "bytes": nbytes,
-            "stats": None,
-        }
+        nbytes = _write_parquet_atomic(rows, os.path.join(self.dir, rel), False)
+        return dict(path=rel, partition=partition, rows=rows.num_rows, bytes=nbytes, stats=None)
 
     def write_batch_files(
         self,

@@ -320,3 +320,130 @@ def test_every_writer_routes_rows_to_their_partition(op, tmp_path, ray_session):
         os.path.relpath(os.path.join(d, f), t.dir) for d, _, fs in os.walk(data) for f in fs
     }
     assert on_disk == named
+
+
+# -- the data-file format: one writer profile --------------------------------
+
+def _chunks(path: str) -> list[tuple[str, str, bool, bool]]:
+    """(column path, codec, has a dictionary page, footer statistics set) of
+    every column chunk of one Parquet file."""
+    import pyarrow.parquet as pq
+
+    md = pq.ParquetFile(path).metadata
+    return [
+        (c.path_in_schema, c.compression, c.has_dictionary_page, c.is_stats_set)
+        for c in (md.row_group(g).column(j) for g in range(md.num_row_groups)
+                  for j in range(md.num_columns))
+    ]
+
+
+def test_data_file_format(tmp_table_dir, ray_session, monkeypatch):
+    """Every data file is zstd with no dictionary page and footer statistics
+    on exactly its table's stats columns, whichever writer made it; change
+    and cluster run files carry no footer statistics; an entry's ``bytes``
+    are its file's size."""
+    from e2e_ocsf_cyber_lakehouse_blueprint_ray.stages import cluster, merge
+
+    side = {}
+    write_side_file = Table.write_side_file
+
+    def spy(self, rows, rel, partition):
+        entry = write_side_file(self, rows, rel, partition)
+        side[rel] = _chunks(os.path.join(self.dir, rel))  # run files are deleted on commit
+        return entry
+
+    monkeypatch.setattr(Table, "write_side_file", spy)
+    def check_live(t: Table) -> set[str]:
+        ents = t.entries()
+        for path, nbytes in zip(ents["path"].to_pylist(), ents["bytes"].to_pylist()):
+            full = os.path.join(t.dir, path)
+            assert nbytes == os.path.getsize(full)
+            chunks = _chunks(full)
+            assert {codec for _, codec, _, _ in chunks} == {"ZSTD"}
+            assert not any(dict_page for _, _, dict_page, _ in chunks)
+            assert [c for c, _, _, stats in chunks if stats] == TRANSCRIPT_STATS_COLS
+        return set(ents["path"].to_pylist())
+
+    base = synth.transcripts(0.001)
+    t = make_table(tmp_table_dir, base)
+    appended = check_live(t)
+    cluster.cluster(t, mode="global")  # k >= 2 key ranges: scatter units write run files
+    merge.merge(t, synth.merge_source(base))
+    assert appended.isdisjoint(check_live(t))  # the rewriters wrote every live file
+    kinds = {rel.split(os.sep)[0] for rel in side}
+    assert kinds == {manifest.CHANGE_DIR, "_lineage"}, kinds
+    for rel, chunks in side.items():
+        assert not any(stats for _, _, _, stats in chunks), rel
+        assert {codec for _, codec, _, _ in chunks} == {"ZSTD"}
+
+
+def _medallion_rows() -> dict[str, pa.Table]:
+    """One bronze, silver and gold batch of the github audit fixture, made
+    in-process: a raw JSON ``data`` column (the variant analog), typed
+    extractions, and gold's nested structs and lists of structs."""
+    from e2e_ocsf_cyber_lakehouse_blueprint_ray.functions.meta import BronzeMeta
+    from e2e_ocsf_cyber_lakehouse_blueprint_ray.functions.ocsf import GoldTransform
+    from e2e_ocsf_cyber_lakehouse_blueprint_ray.functions.variant import SilverExtract
+
+    lines = synth.audit_events("github", 60)
+    raw = pa.table({"text": pa.array(lines), "path": pa.array(["f"] * len(lines))})
+    bronze = BronzeMeta("github")(raw)
+    silver = SilverExtract("github")(bronze)
+    return {"bronze": bronze, "silver": silver, "gold": GoldTransform("github", "authentication")(silver)}
+
+
+def test_read_file_round_trips_the_writer_profile(tmp_path):
+    """``read_file`` returns exactly the rows ``write_files`` wrote: nulls in
+    stats and non-stats columns, all-null columns, empty strings and
+    strings past the manifest's 64-character truncation, the medallion's
+    raw JSON and nested columns, and a file written before a schema
+    evolution, read through ``align_to``. Each entry's manifest stats are
+    those of the rows read back: they do not depend on the encoding."""
+    from e2e_ocsf_cyber_lakehouse_blueprint_ray.table import align_to, read_file
+
+    long = "é" + "z" * 70
+    edge = pa.table(
+        {
+            "conv_id": ["c1", None, "", long, "c2", long + "a"],
+            "turn_idx": pa.array([1, 2, None, 4, 5, 6], pa.int32()),
+            "role": [None, "user", "", "assistant", None, long],
+            "text": [long * 3, "", None, "short", long, ""],
+            "tool": pa.nulls(6, pa.string()),
+            "ts": pa.array([0, None, 2, 3, 4, 5], pa.timestamp("us")),
+        }
+    )
+    all_null = pa.table({f.name: pa.nulls(3, f.type) for f in TRANSCRIPT})
+    med = _medallion_rows()
+    assert med["gold"].num_rows and any(pa.types.is_struct(f.type) for f in med["gold"].schema)
+    cases = [
+        ("edge", edge, TRANSCRIPT_STATS_COLS),
+        ("all_null", all_null, TRANSCRIPT_STATS_COLS),
+        ("bronze", med["bronze"], ["_event_time", "_event_date", "_source"]),
+        ("silver", med["silver"], []),  # empty: every column has stats
+        ("gold", med["gold"], ["time", "_source", "class_uid"]),
+    ]
+    for name, rows, stats_cols in cases:
+        t = Table.create(str(tmp_path / name), rows.schema, partition_spec="none",
+                         config=CONF, stats_cols=stats_cols)
+        ents = t.write_files(rows, "", t.stats_cols(), "f", 4)
+        back = [read_file(os.path.join(t.dir, p)) for p in ents["path"].to_pylist()]
+        assert pa.concat_tables(back).equals(rows), name
+        fresh = pa.Table.from_pylist(
+            [manifest.entry_for("", "", b, 0, t.stats_cols()) for b in back],
+            schema=manifest.ENTRY_SCHEMA,
+        )
+        assert ents["stats"].equals(fresh["stats"]), name
+
+    # a pre-evolution file, read through align_to in the evolved schema
+    t = Table.create(str(tmp_path / "evolved"), TRANSCRIPT, partition_spec="none",
+                     config=CONF, stats_cols=TRANSCRIPT_STATS_COLS)
+    t.commit(added=t.write_files(edge, "", t.stats_cols(), "old", edge.num_rows),
+             removed=[], operation="append")
+    wide = pa.schema(list(TRANSCRIPT) + [pa.field("score", pa.float64())])
+    wave2 = pa.table({**{c: edge[c] for c in TRANSCRIPT.names},
+                      "score": pa.array([0.5] * edge.num_rows)}, schema=wide)
+    t.commit(added=t.write_files(wave2, "", t.stats_cols(), "new", edge.num_rows),
+             removed=[], operation="append", evolve_schema=wide)
+    old = t.entries().filter(pc.starts_with(t.entries()["path"], "data/old"))["path"][0].as_py()
+    got = align_to(read_file(os.path.join(t.dir, old)), t.schema())
+    assert got.equals(edge.append_column("score", pa.nulls(edge.num_rows, pa.float64())))
