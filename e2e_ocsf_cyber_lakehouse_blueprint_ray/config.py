@@ -40,10 +40,6 @@ class EngineConfig:
     rewrite_concurrency: int = 8
     #: batch size for map_batches transform stages.
     batch_size: int = 64 * 1024
-    #: broadcast MERGE sources up to this many rows; larger sources are
-    #: merged in conv_id-range chunks of at most this many rows, one commit
-    #: each (stages/merge.merge_chunked).
-    merge_broadcast_max_rows: int = 5_000_000
 
     # --- skew -----------------------------------------------------------
     #: a conv_id whose row count exceeds this within a repartition job is

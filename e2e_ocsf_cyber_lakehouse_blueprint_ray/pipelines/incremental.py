@@ -14,9 +14,9 @@ never O(source scan).
 Crash safety: the sync marker (``engine.x.synced_src_snapshot``) rides in
 the SAME commit as the merged deltas, so a crashed refresh leaves the view
 at its previous consistent (snapshot, marker) pair and the next refresh
-re-reads the same diff. The refresh merge is forced down the single-commit
-path (no chunking) to keep that atomicity; a churn set too large to
-broadcast is a signal to rebuild instead.
+re-reads the same diff. A MERGE is always one commit, so the marker and
+the deltas land together; a delta set above ``VIEW_FOLD_MAX_ROWS`` is
+not folded on the driver at all, the view is rebuilt instead.
 
 Assumes the source is keyed — (conv_id, turn_idx) unique — which the
 transcript table guarantees; on a keyed table every change-feed net is ±1
@@ -40,6 +40,12 @@ from ..stages import changes as changes_mod
 from ..stages import merge as merge_mod
 
 MARKER = "synced_src_snapshot"
+
+#: a refresh folds at most this many per-conv delta rows on the driver (and
+#: MERGEs them into the view); past it, it streams no more of them and
+#: rebuilds the view with one distributed count pass instead. Tests set the
+#: attribute to force the rebuild.
+VIEW_FOLD_MAX_ROWS = 5_000_000
 
 VIEW_SCHEMA = pa.schema(
     [
@@ -148,19 +154,18 @@ def refresh_conv_count_view(
         .aggregate(Sum("d_sum"))
     )
     # churn-sized from here on (one row per conv that changed) — but bound
-    # the driver fold EXPLICITLY: stream the delta batches up to the
-    # broadcast budget, and past it switch to a fully distributed rebuild
+    # the driver fold EXPLICITLY: stream the delta batches up to
+    # VIEW_FOLD_MAX_ROWS, and past it switch to a fully distributed rebuild
     # (one _counts_ds pass + replace-commit). At that churn level the
     # rebuild is cheaper than a churn merge anyway, and the driver never
-    # holds more than budget rows (round-2 verdict item 5).
-    budget = view.config.merge_broadcast_max_rows
+    # holds much more than that many delta rows.
     parts: list[pa.Table] = []
     n_delta = 0
     overflow = False
     for b in deltas_ds.iter_batches(batch_size=None, batch_format="pyarrow"):
         parts.append(b)
         n_delta += b.num_rows
-        if n_delta > budget:
+        if n_delta > VIEW_FOLD_MAX_ROWS:
             overflow = True
             break
     if overflow:
@@ -231,12 +236,6 @@ def refresh_conv_count_view(
             "op": op,
         }
     )
-    # single-commit merge: the sync marker must land ATOMICALLY with the
+    # the sync marker rides in the MERGE's one commit, atomically with the
     # applied deltas (see module docstring)
-    return merge_mod.merge(
-        view,
-        msrc,
-        use_actor=use_actor,
-        extra={MARKER: str(cur)},
-        _skip_chunking=True,
-    )
+    return merge_mod.merge(view, msrc, use_actor=use_actor, extra={MARKER: str(cur)})

@@ -30,15 +30,14 @@ MERGE writes one small file per touched partition, and a bulk one (FIXTURES
 also writes a change file of the rows it dropped and appended, which the
 commit's change record names for the change feed (stages/changes.py).
 
-Scale shape: the SOURCE side of a MERGE is small relative to the target
-(edits/inserts, not the 10^12-row table), so it is split by the target's
-partitioning on the driver, and each unit row carries its own partition's
-payload as Arrow IPC bytes: the source keys in every unit, the upserts in
-the partition's first unit only. A rewrite task thus receives only its own
-units' keys and upserts, with its input, and drops matched rows with an
-Acero hash left-anti join on (conv_id, turn_idx). Sources above
-``config.merge_broadcast_max_rows`` are merged in conv_id-range chunks
-(``merge_chunked``), one commit each.
+Scale shape: the driver holds the whole source (``merge`` takes a
+``pa.Table``) and splits it by the target's partitioning; each unit row
+carries its own partition's payload as Arrow IPC bytes: the source keys in
+every unit, the upserts in the partition's first unit only. A rewrite task
+thus receives only its own units' keys and upserts, with its input, and
+drops matched rows with an Acero hash left-anti join on (conv_id,
+turn_idx). Whatever the source size, one call plans one job and publishes
+one snapshot, so readers and the change feed never see a MERGE half done.
 """
 
 from __future__ import annotations
@@ -51,6 +50,8 @@ import pyarrow.compute as pc
 from ..state import lineage, manifest
 from ..table import Table, split_by_partition
 from . import rewrite
+
+OPS = pa.array(["insert", "update", "delete"])
 
 
 def _key_array(t: pa.Table) -> pa.Array:
@@ -99,12 +100,14 @@ def merge(
     use_actor: bool = False,
     fail_after: int | None = None,
     extra: dict | None = None,
-    _skip_chunking: bool = False,
 ) -> int:
-    """Apply a MERGE source (transcript columns + ``op``).
+    """Apply a MERGE source (transcript columns + ``op``) in one commit.
 
     op semantics: "update"/"insert" upsert the row; "delete" removes the
-    matched key. Returns the new snapshot id.
+    matched key. A source with an ``op`` outside those three, or with two
+    rows for one (conv_id, turn_idx), is rejected before anything runs.
+    The driver holds the source; at any size the call commits exactly one
+    snapshot, whose id it returns.
     """
     # pin the parent first: the schema, partition spec and files all come
     # from this one snapshot read
@@ -114,6 +117,12 @@ def merge(
     missing = [c for c in tbl_schema.names + ["op"] if c not in source.schema.names]
     if missing:
         raise ValueError(f"MERGE source lacks target column(s) {missing}")
+    # a null op would join the anti-join keys but no upsert: a silent delete
+    op = source["op"].cast(pa.string())
+    bad = pc.invert(pc.is_in(op, value_set=OPS))
+    if pc.any(bad).as_py():
+        vals = pc.unique(op.filter(bad)).to_pylist()
+        raise ValueError(f"MERGE source op(s) {vals} are not one of {OPS.to_pylist()}")
     # ANSI MERGE: a NULL key matches no target row, so a null-key delete or
     # update is a no-op. A null-key insert is dropped as well: it could never
     # be matched again, so every retry of the same source would append it
@@ -121,15 +130,19 @@ def merge(
     source = source.filter(
         pc.and_(pc.is_valid(source["conv_id"]), pc.is_valid(source["turn_idx"]))
     )
-    if source.num_rows > table.config.merge_broadcast_max_rows and not _skip_chunking:
-        return merge_chunked(
-            table, source, concurrency=concurrency, use_actor=use_actor
+    # two rows for one key would both upsert: a keyed table with a key twice
+    per_key = source.group_by(["conv_id", "turn_idx"]).aggregate([([], "count_all")])
+    dup = per_key.filter(pc.greater(per_key["count_all"], 1))
+    if dup.num_rows:
+        key = (dup["conv_id"][0].as_py(), dup["turn_idx"][0].as_py())
+        raise ValueError(
+            f"MERGE source repeats {dup.num_rows} (conv_id, turn_idx) key(s), e.g. {key}"
         )
     by_path = rewrite.entries_by_path(ents)
 
     payload: dict[str, tuple[bytes, bytes]] = {}  # partition -> (keys, upserts)
     conv_ranges: dict[str, tuple[str, str]] = {}
-    # split source rows by target partition (driver-side: source is small)
+    # split source rows by target partition (on the driver, which holds the source)
     for part, chunk in split_by_partition(source, meta["partition_spec"]).items():
         # all source keys leave the target; shipped as a 2-column key table
         # for the rewriter's Acero left-anti join (no key-string building)
@@ -198,46 +211,3 @@ def merge(
         extra=extra,
         changes=changes,
     )
-
-
-def merge_chunked(
-    table: Table,
-    source: pa.Table,
-    *,
-    concurrency: int | None = None,
-    use_actor: bool = False,
-) -> int:
-    """Large-source path: split the source into conv_id-range chunks that fit
-    the broadcast budget and MERGE chunk by chunk. Each chunk commit is
-    atomic (readers see snapshot k or k+1, never a partial chunk), and chunks
-    touch DISJOINT key ranges so the result equals one big merge. At 100 TB
-    this is the bounded-memory shape: the driver never holds more than one
-    chunk's keys, and a source that is itself a Dataset can be iterated
-    ``iter_batches``-style into the same loop.
-    """
-    budget = table.config.merge_broadcast_max_rows
-    idx = pc.sort_indices(source, sort_keys=[("conv_id", "ascending"), ("turn_idx", "ascending")])
-    src = source.take(idx)
-    conv = src["conv_id"].to_numpy(zero_copy_only=False)
-    sid = table.current_snapshot_id()
-    start = 0
-    while start < src.num_rows:
-        end = min(start + budget, src.num_rows)
-        # never split a conversation across chunks (keys within a conv must
-        # land in one atomic commit)
-        if end < src.num_rows:
-            while end > start and conv[end - 1] == conv[min(end, len(conv) - 1)]:
-                end -= 1
-            if end == start:  # single conv larger than budget: take it whole
-                end = start + 1
-                while end < src.num_rows and conv[end] == conv[start]:
-                    end += 1
-        sid = merge(
-            table,
-            src.slice(start, end - start),
-            concurrency=concurrency,
-            use_actor=use_actor,
-            _skip_chunking=True,  # an over-budget single conv merges whole
-        )
-        start = end
-    return sid

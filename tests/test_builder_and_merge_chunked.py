@@ -47,23 +47,53 @@ def test_pipeline_builder_flow(tmp_path, ray_session):
     assert transform("only_tools") is only_tools
 
 
-def test_merge_chunked_matches_single_merge(tmp_path, ray_session):
+def _assert_feed_is_net_effect(t, pre, data, src):
+    """The feed over one MERGE adds each upsert once and removes each
+    matched row once."""
+    diff = changes_mod.snapshot_changes(t, pre, t.current_snapshot_id()).take_all()
+    names = TRANSCRIPT.names
+
+    def rows(tbl):
+        return sorted(tuple(r[c] for c in names) for r in tbl.select(names).to_pylist())
+
+    def feed(change):
+        return sorted(tuple(r[c] for c in names) for r in diff if r["change"] == change)
+
+    def key_list(tbl):
+        return list(zip(tbl["conv_id"].to_pylist(), tbl["turn_idx"].to_pylist()))
+
+    keys = set(key_list(src))
+    matched = data.filter(pa.array([k in keys for k in key_list(data)]))
+    assert feed("added") == rows(src.filter(pc.not_equal(src["op"], "delete")))
+    assert feed("removed") == rows(matched)
+
+
+def test_merge_commits_once_at_any_source_size(tmp_path, ray_session):
+    """No source size splits a MERGE: it is one job and one snapshot, so
+    readers and the feed never see it half applied."""
     data = synth.transcripts(0.001)
     src = synth.merge_source(data)
-    # force the chunked path with a tiny broadcast budget
-    small_conf = dataclasses.replace(CONF, merge_broadcast_max_rows=50)
-    t = Table.create(
-        str(tmp_path / "tbl"),
-        TRANSCRIPT,
-        partition_spec=f"hash:conv_id:{small_conf.num_partitions}",
-        config=small_conf,
-        stats_cols=TRANSCRIPT_STATS_COLS,
-    )
-    t.write_table(data, rows_per_file=300)
-    assert src.num_rows > 50
-    merge_mod.merge(t, src)  # routes through merge_chunked
-    assert t.current_snapshot_id() > 2  # several atomic chunk commits
+    t = make_table(str(tmp_path / "tbl"), data)
+    pre = t.current_snapshot_id()
+    sid = merge_mod.merge(t, src)
+    new = [h for h in t.history() if h["snapshot_id"] > pre]
+    assert [(h["snapshot_id"], h["operation"]) for h in new] == [(sid, "merge")]
     assert sorted_scan(t).equals(synth.apply_merge_expected(data, src))
+    _assert_feed_is_net_effect(t, pre, data, src)
+
+
+def test_merge_retry_over_half_applied_source_is_idempotent(tmp_path, ray_session):
+    """A table with half a source merged (what a crash between partial
+    commits would leave), then the whole source merged twice: each full
+    MERGE yields exactly the one-shot result."""
+    data = synth.transcripts(0.001)
+    src = synth.merge_source(data)
+    t = make_table(str(tmp_path / "tbl"), data)
+    merge_mod.merge(t, src.slice(0, src.num_rows // 2))
+    expected = synth.apply_merge_expected(data, src)
+    for _ in range(2):
+        merge_mod.merge(t, src)
+        assert sorted_scan(t).equals(expected)
 
 
 def test_merge_with_multi_bin_partitions(tmp_path, ray_session, in_driver):
@@ -97,20 +127,4 @@ def test_merge_with_multi_bin_partitions(tmp_path, ray_session, in_driver):
     merge_mod.merge(t, src)
     assert sorted_scan(t).equals(synth.apply_merge_expected(data, src))
 
-    # the feed over the MERGE: each upsert added once, each matched row removed
-    diff = changes_mod.snapshot_changes(t, pre, t.current_snapshot_id()).take_all()
-    names = TRANSCRIPT.names
-
-    def rows(tbl):
-        return sorted(tuple(r[c] for c in names) for r in tbl.select(names).to_pylist())
-
-    def feed(change):
-        return sorted(tuple(r[c] for c in names) for r in diff if r["change"] == change)
-
-    def key_list(tbl):
-        return list(zip(tbl["conv_id"].to_pylist(), tbl["turn_idx"].to_pylist()))
-
-    keys = set(key_list(src))
-    matched = data.filter(pa.array([k in keys for k in key_list(data)]))
-    assert feed("added") == rows(src.filter(pc.not_equal(src["op"], "delete")))
-    assert feed("removed") == rows(matched)
+    _assert_feed_is_net_effect(t, pre, data, src)

@@ -77,14 +77,13 @@ def test_view_build_and_refresh_cycle(tmp_table_dir, ray_session, tmp_path):
 
 
 def test_refresh_overflow_falls_back_to_distributed_rebuild(
-    tmp_table_dir, ray_session, tmp_path
+    tmp_table_dir, ray_session, tmp_path, monkeypatch
 ):
-    """Churn above the broadcast budget must NOT fold on the driver: the
+    """Churn above the view's fold budget must NOT fold on the driver: the
     refresh switches to a full distributed rebuild in one atomic commit,
     with the marker landing in the same snapshot."""
-    import dataclasses
-
-    conf = dataclasses.replace(CONF, merge_broadcast_max_rows=10)  # tiny budget
+    monkeypatch.setattr(incremental, "VIEW_FOLD_MAX_ROWS", 10)  # tiny budget
+    conf = CONF
     data = synth.transcripts(0.001)
     from e2e_ocsf_cyber_lakehouse_blueprint_ray.table import Table
     from e2e_ocsf_cyber_lakehouse_blueprint_ray.schema import TRANSCRIPT, TRANSCRIPT_STATS_COLS

@@ -533,6 +533,40 @@ def test_merge_source_missing_column_is_a_planning_error(tmp_table_dir, ray_sess
     assert t.current_snapshot_id() == 1
 
 
+def test_merge_source_bad_op_is_a_planning_error(tmp_table_dir, ray_session, base_data):
+    """A null op would silently delete its target row and "Delete" would
+    upsert: both are refused before anything is written."""
+    t = make_table(tmp_table_dir, base_data)
+    convs = base_data["conv_id"].slice(0, 3).to_pylist()
+    turns = base_data["turn_idx"].slice(0, 3).to_pylist()
+    for ops, bad in (
+        (["update", None, "delete"], "None"),
+        (["update", "Delete", "insert"], "'Delete'"),
+        ([None, None, None], "None"),  # an all-null column has Arrow's null type
+    ):
+        with pytest.raises(ValueError, match=bad):
+            merge_mod.merge(t, _edit_source(base_data, convs, turns, ops))
+        assert t.current_snapshot_id() == 1
+
+
+def test_merge_source_duplicate_key_is_a_planning_error(tmp_table_dir, ray_session, base_data):
+    """Two source rows for one (conv_id, turn_idx) would both land in a
+    keyed table; the MERGE is refused and names the key. Null keys are
+    dropped first, so repeated null keys stay no-ops."""
+    t = make_table(tmp_table_dir, base_data)
+    conv = base_data["conv_id"][0].as_py()
+    turn = base_data["turn_idx"][0].as_py()
+    src = _edit_source(base_data, [conv, conv], [turn, turn], ["update", "insert"])
+    with pytest.raises(ValueError, match=f"'{conv}', {turn}"):
+        merge_mod.merge(t, src)
+    assert t.current_snapshot_id() == 1
+    src = _edit_source(
+        base_data, [conv, None, None], [turn, 5, 5], ["update", "insert", "insert"]
+    )
+    merge_mod.merge(t, src)
+    assert sorted_scan(t).num_rows == base_data.num_rows
+
+
 def test_merge_out_of_range_delete_key_matches_nothing(tmp_table_dir, ray_session, base_data):
     """An int64 delete key above int32 max cannot name an int32 turn_idx:
     planning drops it, the in-range key in the same partition still
