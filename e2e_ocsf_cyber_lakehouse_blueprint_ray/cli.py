@@ -137,7 +137,7 @@ def main(argv=None) -> int:
         from .functions.meta import BronzeMeta
         from .sources.jsonl import ingest_jsonl
 
-        sid, new = ingest_jsonl(Table(args.table), args.source_dir, BronzeMeta(args.source))
+        [(sid, new)] = ingest_jsonl([(Table(args.table), args.source_dir, BronzeMeta(args.source))])
         out.update({"snapshot": sid, "new_files": len(new)})
     elif args.cmd == "medallion":
         from .pipelines.medallion import Medallion

@@ -5,18 +5,17 @@ Reference: ``spark.readStream.format("cloudFiles")`` with
 checkpoint/schema location (/root/reference/transformations/pipelines/github/
 audit_logs/bronze_github_audit_logs.py:43-50; paths utilities/utils.py:29-39).
 
-Our exactly-once story is file-granularity: the consumed input files go
-through the input ledger of state/lineage.py — recorded ATOMICALLY WITH the
-append commit in its snapshot extras, mirrored into the lineage log, read
-back as the union of both — so a crash before the commit re-reads the new
-files (the append never became visible) and a crash after it re-reads
-nothing. Each ``ingest_jsonl`` call lists the directory, subtracts the
-consumed set, reads ONLY the new files (``ray.data.read_text`` → one row per
-JSON line, ``include_paths=True`` giving the reference's
-``_metadata.file_path`` column, bronze_github_audit_logs.py:26), applies the
-caller's transform and appends + commits. A 100 TB deployment lists
-object-store prefixes the same way — listing cost is per-ingest-cycle, not
-per-file-read, and the read itself streams.
+A directory of JSONL files is an upstream of the engine's one append-flow
+runner (pipelines/builder.py), which needs two operations of it: list its
+files (``list_files``) and read one file's lines (``read_lines``).
+``ingest_jsonl`` runs one flow per (table, directory) target in one runner
+call. Exactly-once is the runner's, at file granularity: the consumed input
+files go through the sink's input ledger (state/lineage.py) — recorded
+ATOMICALLY WITH the append commit in its snapshot extras, mirrored into the
+lineage log, read back as the union of both — so a crash before the commit
+re-reads the new files (the append never became visible) and a crash after
+it re-reads nothing. A 100 TB deployment lists object-store prefixes the
+same way — listing cost is per-ingest-cycle, not per-file-read.
 """
 
 from __future__ import annotations
@@ -24,45 +23,42 @@ from __future__ import annotations
 import glob
 import os
 
-from ..state import lineage
+import pyarrow as pa
+
 from ..table import Table
 
 
-def ingest_jsonl(
-    table: Table,
-    source_dir: str,
-    transform,
-    *,
-    pattern: str = "*.jsonl",
-    batch_size: int | None = None,
-    concurrency: int | None = None,
-    use_actor: bool = False,
-) -> tuple[int | None, list[str]]:
-    """Ingest new JSONL files under ``source_dir`` through ``transform``
-    (a map_batches callable class, e.g. functions.meta.BronzeMeta) into
-    ``table``. Returns (snapshot_id | None, new_files)."""
-    all_files = sorted(glob.glob(os.path.join(source_dir, pattern)))
-    consumed = lineage.consumed_inputs(table.dir, ["ingest"])["ingest"]
-    new = [f for f in all_files if f not in consumed]
-    if not new:
-        return None, []
+def list_files(source_dir: str) -> list[dict]:
+    """The ``*.jsonl`` files under ``source_dir`` as the runner's upstream
+    listing: ``{path, partition, bytes}``, all in partition ``""``."""
+    paths = sorted(glob.glob(os.path.join(source_dir, "*.jsonl")))
+    return [{"path": p, "partition": "", "bytes": os.path.getsize(p)} for p in paths]
 
-    import ray.data as rd
 
-    from ..table import DATASET_CONSTRUCT_LOCK
+def read_lines(path: str) -> pa.Table:
+    """One JSONL file's records: ``text``, one UTF-8 line each, and
+    ``path`` (the reference's ``_metadata.file_path``,
+    bronze_github_audit_logs.py:26). Lines end at ``\\n`` only (JSON Lines)
+    with one trailing ``\\r`` dropped — ``str.splitlines`` also breaks at
+    U+0085, U+2028 and U+2029, which JSON allows raw inside strings — and
+    whitespace-only lines are skipped."""
+    with open(path, "rb") as f:
+        lines = f.read().decode("utf-8").split("\n")
+    text = pa.array([s for s in (ln.removesuffix("\r") for ln in lines) if s.strip()], pa.string())
+    return pa.table({"text": text, "path": pa.array([path] * len(text), pa.string())})
 
-    cfg = table.config
-    with DATASET_CONSTRUCT_LOCK:
-        ds = rd.read_text(new, include_paths=True)
-    out = ds.map_batches(
-        transform,
-        batch_format="pyarrow",
-        batch_size=batch_size or cfg.batch_size,
-        concurrency=concurrency or cfg.rewrite_concurrency,
-    )
-    parent = table.current_snapshot_id()
-    sid = table.append_dataset(
-        out, operation="ingest", use_actor=use_actor, extra=lineage.inputs_extra({"ingest": new})
-    )
-    lineage.record_inputs(table.dir, "ingest", parent, sid, new)
-    return sid, new
+
+def ingest_jsonl(targets: list[tuple[Table, str, object]]) -> list[tuple[int | None, list[str]]]:
+    """Append the new JSONL files of each ``(table, source_dir, transform)``
+    target through ``transform`` (a batch callable, e.g.
+    functions.meta.BronzeMeta) to ``table``, all targets in one runner
+    call; a target's flow is tagged ``ingest-<basename of source_dir>``.
+    Returns ``(snapshot_id | None, new_files)`` per target."""
+    from ..pipelines.builder import Flow, run_flows
+
+    flows = [
+        Flow(f"ingest-{os.path.basename(os.path.normpath(d))}", d, table, [fn])
+        for table, d, fn in targets
+    ]
+    out = run_flows(flows)
+    return [out[f.tag] for f in flows]

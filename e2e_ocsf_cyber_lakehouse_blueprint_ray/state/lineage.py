@@ -143,13 +143,18 @@ def finalize_job(table_dir: str, job_id: str, snapshot_id: int) -> None:
         rows["output_files"].append(data["path"].to_pylist())
         rows["input_rows"].append(int(rec.get("input_rows", 0)))
         rows["output_rows"].append(int(pc.sum(data["rows"]).as_py() or 0))
+    log = pa.table(rows, schema=LOG_SCHEMA)
+    _write_log(table_dir, f"lineage-{snapshot_id:08d}-{job_id}.parquet", log)
+    shutil.rmtree(_jdir(table_dir, job_id), ignore_errors=True)
+
+
+def _write_log(table_dir: str, name: str, log: pa.Table) -> None:
     log_dir = os.path.join(table_dir, LINEAGE_DIR, "log")
     os.makedirs(log_dir, exist_ok=True)
-    out = os.path.join(log_dir, f"lineage-{snapshot_id:08d}-{job_id}.parquet")
+    out = os.path.join(log_dir, name)
     tmp = out + f".tmp.{os.getpid()}"
-    pq.write_table(pa.table(rows, schema=LOG_SCHEMA), tmp, compression="zstd")
+    pq.write_table(log, tmp, compression="zstd")
     os.replace(tmp, out)
-    shutil.rmtree(_jdir(table_dir, job_id), ignore_errors=True)
 
 
 def read_log(table_dir: str) -> pa.Table:
@@ -164,9 +169,9 @@ def read_log(table_dir: str) -> pa.Table:
 
 # -- exactly-once input ledger -------------------------------------------------
 #
-# An input-consuming op (JSONL ingest, a medallion flow) names the files it
-# consumed in its commit's snapshot extras — atomic with the data becoming
-# visible — and mirrors them into the lineage log right after. The reader
+# An input-consuming op (an append flow, pipelines/builder.py) names the
+# files it consumed in its commit's snapshot extras — atomic with the data
+# becoming visible — and mirrors them into the lineage log right after. The reader
 # unions both, so there is no crash window in either direction: crash before
 # the commit ⇒ nothing consumed; crash between commit and lineage write ⇒
 # the snapshot already names the files.
@@ -182,14 +187,17 @@ def inputs_extra(inputs_by_op: dict) -> dict:
     return {INPUTS_EXTRA: json.dumps(by_op)}
 
 
-def record_inputs(table_dir: str, op: str, parent: int | None, snapshot_id: int, inputs) -> None:
-    """Mirror the inputs of the committed ``op`` into the lineage log."""
-    inputs = list(inputs)
-    job_id = job_id_for(op, parent, "|".join(inputs))
-    save_unit(
-        table_dir, job_id, unit_id(inputs), {"partition": "", "inputs": inputs, "input_rows": 0}
-    )
-    finalize_job(table_dir, job_id, snapshot_id)
+def record_inputs(table_dir: str, parent: int | None, snapshot_id: int, inputs_by_op: dict) -> None:
+    """Mirror one commit's consumed inputs into one lineage log file: a row
+    per op, under the op's ``job_id_for`` id."""
+    rows = [
+        dict(snapshot_id=snapshot_id, job_id=job_id_for(op, parent, "|".join(files)),
+             unit_id=unit_id(files), partition="", input_files=list(files), output_files=[],
+             input_rows=0, output_rows=0)
+        for op, files in sorted(inputs_by_op.items())
+    ]
+    log = pa.Table.from_pylist(rows, schema=LOG_SCHEMA)
+    _write_log(table_dir, f"lineage-{snapshot_id:08d}-inputs.parquet", log)
 
 
 def consumed_inputs(table_dir: str, ops) -> dict[str, set[str]]:

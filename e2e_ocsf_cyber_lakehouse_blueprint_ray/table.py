@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 
 import numpy as np
@@ -40,15 +39,6 @@ import pyarrow.parquet as pq
 from . import config as cfg
 from .hashing import hash64_column
 from .state import lineage, manifest
-
-#: serializes ray.data.read_* CONSTRUCTION (not execution) when bronze
-#: ingest jobs run in driver threads: Ray's path resolution lazily imports
-#: optional fsspec filesystems, and a concurrent first import can leave a partial module in
-#: sys.modules, turning the normally-caught ModuleNotFoundError into a
-#: propagating ImportError. Construction is milliseconds; execution — the
-#: actual streaming job — stays fully concurrent.
-DATASET_CONSTRUCT_LOCK = threading.Lock()
-
 
 class ConflictError(RuntimeError):
     """A concurrent commit removed files this commit depends on."""
@@ -414,7 +404,7 @@ class Table:
         """The routed writer: split ``batch`` by ``spec`` and write each
         partition's rows with ``write_files`` (one file per partition unless
         ``rows_per_file`` cuts it). Every appender routes through here —
-        ``write_table``, ``stage_dataset_files`` and the medallion's flows.
+        ``write_table``, ``stage_dataset_files`` and the append flows.
         A per-call uuid in every file name keeps concurrent writers with the
         same prefix from overwriting each other's files (``commit`` also
         rejects duplicate paths)."""
@@ -562,7 +552,8 @@ class Table:
         table's metastore actor (multi-writer serialization); otherwise the
         file-based optimistic protocol runs locally. ``extra`` key/values are
         persisted in the snapshot metadata ATOMICALLY with the commit — used
-        e.g. to record consumed ingest files exactly-once (sources/jsonl.py).
+        e.g. to record an append flow's consumed files exactly-once
+        (pipelines/builder.py).
 
         ``changes`` is the commit's change record (``manifest.change_record``
         items) for the change feed: MERGE/DELETE pass their change files,

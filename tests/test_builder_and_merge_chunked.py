@@ -47,6 +47,42 @@ def test_pipeline_builder_flow(tmp_path, ray_session):
     assert transform("only_tools") is only_tools
 
 
+def test_pipeline_rerun_appends_nothing(tmp_path, ray_session):
+    """Builder flows are exactly-once: a rerun appends nothing, new source
+    rows are appended once, and a chained pipeline fills its last sink in
+    its first run."""
+    test_pipeline_builder_flow(tmp_path, ray_session)
+    src, sink = Table(str(tmp_path / "src")), Table(str(tmp_path / "sink"))
+    p = Pipeline("tools").add(Flow("tool-turns", src, sink, transforms=["only_tools", "upper_tool"]))
+    before = sorted_scan(sink)
+    assert all(v is None for v in p.run().values())
+    assert sorted_scan(sink).equals(before)
+
+    more = synth.transcripts(0.001)
+    more = more.set_column(0, "conv_id", pc.binary_join_element_wise(more["conv_id"], "-2", ""))
+    src.write_table(more, rows_per_file=2000)
+    assert p.run()["tool-turns"] is not None
+    tools = pc.equal(more["role"], "tool")
+    assert sink.read_arrow().num_rows == before.num_rows + pc.sum(tools).as_py()
+    assert all(v is None for v in p.run().values())
+
+    def empty(name):
+        return Table.create(
+            str(tmp_path / name),
+            TRANSCRIPT,
+            partition_spec=f"hash:conv_id:{CONF.num_partitions}",
+            config=CONF,
+            stats_cols=TRANSCRIPT_STATS_COLS,
+        )
+
+    mid, end = empty("mid"), empty("end")
+    chained = Pipeline("chain").add(Flow("b", mid, end, ["upper_tool"])).add(
+        Flow("a", src, mid, ["only_tools"])
+    )
+    out = chained.run()
+    assert out["a"] is not None and out["b"] is not None
+    assert end.read_arrow().num_rows == sink.read_arrow().num_rows
+
 def _assert_feed_is_net_effect(t, pre, data, src):
     """The feed over one MERGE adds each upsert once and removes each
     matched row once."""

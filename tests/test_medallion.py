@@ -2,12 +2,14 @@
 (reference EP1-EP3, SURVEY.md §3)."""
 
 import json
+import os
 
 import pyarrow.compute as pc
 import pytest
 
 from e2e_ocsf_cyber_lakehouse_blueprint_ray import config as cfg, synth
 from e2e_ocsf_cyber_lakehouse_blueprint_ray.functions.ocsf import GoldTransform, flows
+from e2e_ocsf_cyber_lakehouse_blueprint_ray.pipelines import builder
 from e2e_ocsf_cyber_lakehouse_blueprint_ray.pipelines.medallion import (
     GOLD_TABLES,
     SOURCES,
@@ -49,7 +51,7 @@ def test_bronze_ingest_is_incremental(medallion):
     from e2e_ocsf_cyber_lakehouse_blueprint_ray.functions.meta import BronzeMeta
 
     t = m.table("bronze_github_audit_logs")
-    sid, new = ingest_jsonl(t, f"{fixtures}/github", BronzeMeta("github"))
+    [(sid, new)] = ingest_jsonl([(t, f"{fixtures}/github", BronzeMeta("github"))])
     assert sid is None and new == []  # exactly-once: nothing new to consume
 
 
@@ -67,10 +69,10 @@ def test_bronze_ingest_exactly_once_survives_lineage_loss(medallion, layer):
 
     t = m.table(f"{layer}_slack_audit_logs")
     if layer == "bronze":
-        op = "ingest"
+        op = "flow-ingest-slack"
 
         def rerun():
-            return ingest_jsonl(t, f"{fixtures}/slack", BronzeMeta("slack"))
+            return ingest_jsonl([(t, f"{fixtures}/slack", BronzeMeta("slack"))])[0]
     else:
         op = "flow-silver-slack"
 
@@ -386,19 +388,19 @@ def test_gold_reads_each_silver_table_once(tmp_path, ray_session, monkeypatch):
     one partition in the same unit."""
     m, _ = _silver_ready(tmp_path, 30)
     calls, plans = [], []
-    real_run, real_plan = Medallion._run_flows, Medallion._plan
+    real_run, real_plan = builder.run_flows, builder._plan
 
-    def run(self, flows_, **kw):
+    def run(flows_, **kw):
         calls.append(sorted(f.tag for f in flows_))
-        return real_run(self, flows_, **kw)
+        return real_run(flows_, **kw)
 
-    def plan(self, flows_):
-        out = real_plan(self, flows_)
+    def plan(flows_):
+        out = real_plan(flows_)
         plans.append(out[0])
         return out
 
-    monkeypatch.setattr(Medallion, "_run_flows", run)
-    monkeypatch.setattr(Medallion, "_plan", plan)
+    monkeypatch.setattr(builder, "run_flows", run)
+    monkeypatch.setattr(builder, "_plan", plan)
     out = m.run_gold(use_actor=False)
     assert all(v is not None for v in out.values())
     assert calls == [sorted(f"gold-{src}-{cls}" for src, cls in flows())]
@@ -514,3 +516,160 @@ def test_summary_query(medallion):
     assert s.num_rows > 0
     assert s.schema.names == ["_source", "class_name", "n_events"]
     assert int(pc.sum(s["n_events"]).as_py()) > 0
+
+
+def _write_github_jsonl(root, files: dict[str, str]) -> str:
+    """Write ``{name: text}`` as UTF-8 files under root/github, byte for
+    byte (no newline translation); returns the fixture root."""
+    d = os.path.join(root, "github")
+    os.makedirs(d, exist_ok=True)
+    for name, text in files.items():
+        with open(os.path.join(d, name), "wb") as f:
+            f.write(text.encode("utf-8"))
+    return str(root)
+
+
+def _github_docs(n):
+    return [json.loads(line) for line in synth.audit_events("github", n)]
+
+
+def _bronze_rows(m, root):
+    """The github bronze rows without ``_ingest_time`` (wall clock), file
+    paths relative to the fixture root, sorted."""
+    got = m.table("bronze_github_audit_logs").read_arrow().drop_columns(["_ingest_time"])
+    rows = [dict(r, _file_path=os.path.relpath(r["_file_path"], root)) for r in got.to_pylist()]
+    return sorted(rows, key=lambda r: json.dumps(r, sort_keys=True, default=str))
+
+
+#: (rows, sha256[:16] of the rows as JSON) of ``_bronze_rows`` over the
+#: edge-case fixture below, recorded through ``ray.data.read_text``.
+_BRONZE_EDGE_PINNED = (12, "a441c374d67c241b")
+
+
+def test_bronze_reader_matches_read_text(tmp_path, ray_session):
+    """Blank and whitespace-only lines, CRLF endings, a file without a
+    trailing newline, a file of blank lines only, trailing spaces and raw
+    non-ASCII text give the bronze rows ``ray.data.read_text`` gave."""
+    import hashlib
+
+    docs = _github_docs(12)
+    docs[1]["actor"] = "José Ñúñez"
+    docs[4]["org"] = "日本語チーム"
+    docs[7]["repo"] = "org/répo-\U0001f680"
+    raw = [json.dumps(d, ensure_ascii=False) for d in docs]
+    root = _write_github_jsonl(
+        tmp_path / "raw",
+        {
+            "a.jsonl": "\n".join(raw[0:4]) + "\n\n",
+            "b.jsonl": "\r\n".join(raw[4:8]) + "\r\n",
+            "c.jsonl": raw[8] + "\n \t \n\n" + raw[9] + "  \n" + "\n".join(raw[10:12]),
+            "d.jsonl": " \r\n\n",
+        },
+    )
+    m = Medallion(str(tmp_path / "tables"), cfg.test_config())
+    m.setup()
+    m.run_bronze(root)
+    rows = _bronze_rows(m, root)
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True, default=str).encode()).hexdigest()
+    assert (len(rows), digest[:16]) == _BRONZE_EDGE_PINNED
+
+
+def test_bronze_keeps_raw_line_separators_inside_records(tmp_path, ray_session):
+    """JSON allows raw U+2028, U+2029 and U+0085 inside strings: each
+    record stays one bronze row and every ``data`` value parses."""
+    docs = _github_docs(4)
+    docs[0]["action"] = "repo.create\u2028x"
+    docs[2]["actor"] = "a\u0085b"
+    docs[3]["org"] = "o\u2029p"
+    raw = [json.dumps(d, ensure_ascii=False) for d in docs]
+    root = _write_github_jsonl(tmp_path / "raw", {"a.jsonl": "\n".join(raw) + "\n"})
+    m = Medallion(str(tmp_path / "tables"), cfg.test_config())
+    m.setup()
+    m.run_bronze(root)
+    got = m.table("bronze_github_audit_logs").read_arrow()
+    assert got.num_rows == 4
+    assert got["_event_time"].null_count == 0
+    assert sorted(json.loads(s)["id"] for s in got["data"].to_pylist()) == [d["id"] for d in docs]
+    assert sorted(got["data"].to_pylist()) == sorted(raw)
+
+
+def _layer_counts(m):
+    counts = {name: m.table(name).read_arrow(columns=["_source"]).num_rows
+              for src in SOURCES for name in (f"bronze_{src}_audit_logs", f"silver_{src}_audit_logs")}
+    return counts, _gold_counts(m)
+
+
+@pytest.mark.parametrize("layer", ["bronze", "silver"])
+def test_layer_crash_between_sink_commits_resumes_exactly_once(
+    tmp_path, ray_session, monkeypatch, layer
+):
+    """A crash after the first of a layer's 3 sink commits leaves one
+    source's sink committed and the others not. A second wave lands before
+    the whole medallion resumes: every layer ends up equal to a clean run,
+    nothing lost or doubled."""
+    from e2e_ocsf_cyber_lakehouse_blueprint_ray.table import Table
+
+    fixtures = str(tmp_path / "raw")
+    synth.write_audit_fixture(fixtures, n_per_source=40, wave="w1", start=0)
+    m = Medallion(str(tmp_path / "crash" / "tables"), cfg.test_config())
+    m.setup()
+    if layer == "silver":
+        m.run_bronze(fixtures)
+    real = Table.commit
+    calls = []
+
+    def crashing(self, **kw):
+        calls.append(kw["operation"])
+        if len(calls) > 1:
+            raise RuntimeError("injected crash")
+        return real(self, **kw)
+
+    monkeypatch.setattr(Table, "commit", crashing)
+    with pytest.raises(RuntimeError, match="injected crash"):
+        m.run_bronze(fixtures) if layer == "bronze" else m.run_silver()
+    monkeypatch.undo()
+    assert len(calls) >= 2
+
+    synth.write_audit_fixture(fixtures, n_per_source=20, wave="w2", start=1000)
+    m.run_all(fixtures, use_actor_gold=False)
+    clean = Medallion(str(tmp_path / "clean" / "tables"), cfg.test_config())
+    clean.run_all(fixtures, use_actor_gold=False)
+    assert _layer_counts(m) == _layer_counts(clean)
+    assert all(n == 60 for n in _layer_counts(m)[0].values())
+
+
+def test_wave_is_one_job_per_layer_and_one_ledger_file_per_commit(
+    tmp_path, ray_session, monkeypatch
+):
+    """Bronze, silver and gold each run as exactly one Ray Data job, and
+    each sink commit mirrors its input ledger into one lineage log file."""
+    from e2e_ocsf_cyber_lakehouse_blueprint_ray.stages import rewrite
+    from e2e_ocsf_cyber_lakehouse_blueprint_ray.state import lineage
+
+    fixtures = str(tmp_path / "raw")
+    synth.write_audit_fixture(fixtures, n_per_source=30)
+    m = Medallion(str(tmp_path / "tables"), cfg.test_config())
+    m.setup()
+    jobs = []
+    real = rewrite.ray_map_units
+
+    def counting(*a, **kw):
+        jobs.append(1)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(rewrite, "ray_map_units", counting)
+    for layer, run in (
+        ("bronze", lambda: m.run_bronze(fixtures)),
+        ("silver", m.run_silver),
+        ("gold", lambda: m.run_gold(use_actor=False)),
+    ):
+        before = len(jobs)
+        run()
+        assert len(jobs) - before == 1, layer
+    names = [f"{layer}_{src}_audit_logs" for layer in ("bronze", "silver") for src in SOURCES]
+    for name in names + list(GOLD_TABLES.values()):
+        t = m.table(name)
+        log = os.path.join(t.dir, lineage.LINEAGE_DIR, "log")
+        logged = os.listdir(log) if os.path.isdir(log) else []
+        commits = [h for h in t.history() if h["snapshot_id"] > 0]
+        assert len(logged) == len(commits), name
