@@ -36,8 +36,9 @@ HOSTNAME_PATHS = {
 
 
 class BronzeMeta:
-    """map_batches callable: (text=raw JSON line, path=source file) → BRONZE
-    rows. Stateful (compiled extractor) → run as an actor pool."""
+    """Append-flow transform of ``sources.jsonl.read_lines`` rows
+    (``text``: one raw JSON line, ``path``: its source file) → BRONZE rows;
+    the runner calls it once per unit, inside the unit's Ray Data task."""
 
     def __init__(self, source: str):
         tp, tt, conv = TIME_SPECS[source]

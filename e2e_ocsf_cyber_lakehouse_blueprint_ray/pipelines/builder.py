@@ -71,16 +71,16 @@ def _dir(upstream: Table | str) -> str:
 def _upstream(up: Table | str) -> tuple[list[dict], Callable[[str], pa.Table]]:
     """An upstream's two runner operations: its live files as ``{path,
     partition, bytes}`` rows (absolute paths), and a reader of one file —
-    a Table's rows aligned to its snapshot schema, a JSONL file's lines."""
+    a Table file's live rows (its entry's deleted positions dropped, as
+    ``read_files`` does) aligned to the snapshot schema, a JSONL file's
+    lines."""
     if isinstance(up, str):
         return jsonl.list_files(up), jsonl.read_lines
     ents, meta = up.snapshot()
-    rows = ents.select(["path", "partition", "bytes"]).to_pylist()
-    schema = meta["schema"]
-    return (
-        [dict(r, path=os.path.join(up.dir, r["path"])) for r in rows],
-        lambda p: align_to(read_file(p), schema),
-    )
+    rows = ents.select(["path", "partition", "bytes", "deleted"]).to_pylist()
+    rows = [dict(r, path=os.path.join(up.dir, r["path"])) for r in rows]
+    deleted, schema = {r["path"]: r["deleted"] for r in rows}, meta["schema"]
+    return rows, lambda p: align_to(read_file(p, None, deleted[p]), schema)
 
 
 def _plan(

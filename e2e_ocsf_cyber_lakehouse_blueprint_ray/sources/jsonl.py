@@ -52,8 +52,10 @@ def ingest_jsonl(targets: list[tuple[Table, str, object]]) -> list[tuple[int | N
     """Append the new JSONL files of each ``(table, source_dir, transform)``
     target through ``transform`` (a batch callable, e.g.
     functions.meta.BronzeMeta) to ``table``, all targets in one runner
-    call; a target's flow is tagged ``ingest-<basename of source_dir>``.
-    Returns ``(snapshot_id | None, new_files)`` per target."""
+    call; a target's flow is tagged ``ingest-<basename of source_dir>``,
+    and the runner takes each tag once per call, so the source directories'
+    basenames must be distinct within one call. Returns ``(snapshot_id |
+    None, new_files)`` per target."""
     from ..pipelines.builder import Flow, run_flows
 
     flows = [

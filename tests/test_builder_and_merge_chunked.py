@@ -8,8 +8,10 @@ from e2e_ocsf_cyber_lakehouse_blueprint_ray import synth
 from e2e_ocsf_cyber_lakehouse_blueprint_ray.pipelines.builder import Flow, Pipeline, register, transform
 from e2e_ocsf_cyber_lakehouse_blueprint_ray.schema import TRANSCRIPT, TRANSCRIPT_STATS_COLS
 from e2e_ocsf_cyber_lakehouse_blueprint_ray.stages import changes as changes_mod
+from e2e_ocsf_cyber_lakehouse_blueprint_ray.stages import delete as delete_mod
 from e2e_ocsf_cyber_lakehouse_blueprint_ray.stages import merge as merge_mod
 from e2e_ocsf_cyber_lakehouse_blueprint_ray.stages import rewrite
+from e2e_ocsf_cyber_lakehouse_blueprint_ray.state import manifest
 from e2e_ocsf_cyber_lakehouse_blueprint_ray.table import Table
 from tests.test_table import CONF, make_table, sorted_scan
 
@@ -82,6 +84,30 @@ def test_pipeline_rerun_appends_nothing(tmp_path, ray_session):
     out = chained.run()
     assert out["a"] is not None and out["b"] is not None
     assert end.read_arrow().num_rows == sink.read_arrow().num_rows
+
+
+def test_pipeline_reads_live_rows_after_delete_and_merge(tmp_path, ray_session):
+    """A flow over a table whose DELETE and small MERGE recorded deleted
+    positions appends only the live rows, the updates' new values once."""
+    data = synth.transcripts(0.001)
+    src = make_table(str(tmp_path / "src"), data, rows_per_file=2000)
+    ts = data["ts"].cast(pa.int64())
+    lo = int(pc.min(ts).as_py()) + (int(pc.max(ts).as_py()) - int(pc.min(ts).as_py())) // 2
+    delete_mod.delete_where(src, "ts", lo, lo + 3_600_000_000)
+    upd = data.filter(pc.greater(ts, lo + 3_600_000_000)).slice(0, 3).select(TRANSCRIPT.names)
+    upd = upd.set_column(3, "text", pa.array(["updated"] * upd.num_rows))
+    merge_mod.merge(src, upd.append_column("op", pa.array(["update"] * upd.num_rows)))
+    assert manifest.dv_counts(src.entries())[0] > 0
+    sink = Table.create(
+        str(tmp_path / "sink"),
+        TRANSCRIPT,
+        partition_spec=f"hash:conv_id:{CONF.num_partitions}",
+        config=CONF,
+        stats_cols=TRANSCRIPT_STATS_COLS,
+    )
+    assert Pipeline("copy").add(Flow("copy", src, sink, [lambda b: b])).run()["copy"] is not None
+    assert sorted_scan(sink).equals(sorted_scan(src))
+
 
 def _assert_feed_is_net_effect(t, pre, data, src):
     """The feed over one MERGE adds each upsert once and removes each
